@@ -7,6 +7,7 @@ through json.loads.
 """
 
 import argparse
+import functools
 import json
 import sys
 from math import gcd
@@ -16,7 +17,7 @@ from .decomposition import decompose
 from .gems import (CYCLIC_ORDERS, GLMParams, LMParams, SPHERE, NonIntegerGenus,
                    build_generalized, build_lins_mandel, gem_closed_form,
                    heegaard_genus, is_crystallization, is_gem, represented_covering)
-from .homology import AbelianGroup, verify_consistency
+from .homology import ROUTES, AbelianGroup, routes_agree, verify_consistency
 from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
 from .presentations import minkus_presentation, mu3_presentation, takahashi_word
 from .two_bridge import (NoEvenRepresentative, cf_expand, even_cf_expand,
@@ -87,6 +88,9 @@ def cmd_present(args):
     t = normalize(args.alpha, args.beta)
     if args.method == "minkus":
         pres = minkus_presentation(t, args.n)
+        if t.is_link and (args.k - 1) % args.n:
+            raise ValueError("--method minkus presents the covering with exponents (1, 1); "
+                             "use --method mu3 for k = %d" % args.k)
     elif args.method == "mu3":
         pres = mu3_presentation(t, args.n, args.k)
     else:
@@ -105,10 +109,16 @@ def cmd_homology(args):
         spec = CoveringSpec(args.n, (args.k,))
     else:
         spec = CoveringSpec(args.n, (1, args.k))
-    report = verify_consistency(t, spec)
     if args.routes != "all":
         wanted = set(args.routes.split(","))
+        unknown = sorted(wanted - set(ROUTES))
+        if unknown:
+            raise ValueError("unknown route %s; valid routes: %s"
+                             % (", ".join(map(repr, unknown)), ", ".join(ROUTES)))
+    report = verify_consistency(t, spec)
+    if args.routes != "all":
         report["routes"] = [r for r in report["routes"] if r["route"] in wanted]
+        report["agree"] = routes_agree(report["routes"])
     lines = ["%s, degree %d, exponents %s" % (t, spec.n, list(spec.exponents))]
     for rec in report["routes"]:
         if "group" in rec:
@@ -238,7 +248,10 @@ def cmd_verify(args):
     return (1 if mismatches else 0), data, lines
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bridgecovers",
         description="cyclic branched coverings of 2-bridge knots and links")

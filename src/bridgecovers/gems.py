@@ -6,12 +6,14 @@ every 3-residue is a 2-sphere decides whether the graph is a gem, i.e.
 whether the associated pseudocomplex is a manifold.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
 
 from .covering import CoveringSpec
-from .polyhedral import NotAManifold
+from .polyhedral import NotAManifold, _classes
 from .two_bridge import TwoBridge, normalize
 
 
@@ -80,6 +82,32 @@ class ColouredGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.involutions[0])
+
+    @cached_property
+    def _cycles(self) -> dict:
+        """Colour pair (a < b) -> (cycle label of each vertex, cycle count).
+
+        Computed once and kept for the life of this (immutable) graph; every
+        bicoloured-cycle and residue count reads this one table.
+        """
+        table = {}
+        for a, b in combinations(range(4), 2):
+            ia, ib = self.involutions[a], self.involutions[b]
+            label = [-1] * self.vertex_count
+            count = 0
+            for start in range(self.vertex_count):
+                if label[start] >= 0:
+                    continue
+                # walk the cycle through start, alternating colours a and b
+                v = start
+                while label[v] < 0:
+                    label[v] = count
+                    w = ia[v]
+                    label[w] = count
+                    v = ib[w]
+                count += 1
+            table[(a, b)] = (label, count)
+        return table
 
 
 @dataclass(frozen=True)
@@ -178,25 +206,28 @@ def _component(g: ColouredGraph, colours, start: int) -> list:
     return sorted(seen)
 
 
-def _components(g: ColouredGraph, colours) -> list:
-    done = [False] * g.vertex_count
-    comps = []
-    for start in range(g.vertex_count):
-        if done[start]:
-            continue
-        comp = _component(g, colours, start)
-        for v in comp:
-            done[v] = True
-        comps.append(comp)
-    return comps
+def _cycle_entry(g: ColouredGraph, colours) -> tuple:
+    a, b = colours
+    if a == b or not (0 <= a < 4 and 0 <= b < 4):
+        raise ValueError("need two distinct colours in 0..3")
+    return g._cycles[(min(a, b), max(a, b))]
 
 
 def bicoloured_cycles(g: ColouredGraph, colours) -> list:
     """Sorted vertex counts of the cycles spanned by two colours."""
-    a, b = colours
-    if a == b or not (0 <= a < 4 and 0 <= b < 4):
-        raise ValueError("need two distinct colours in 0..3")
-    return sorted(len(comp) for comp in _components(g, (a, b)))
+    label, _ = _cycle_entry(g, colours)
+    return sorted(Counter(label).values())
+
+
+def _residue_count(g: ColouredGraph, missing: int) -> int:
+    """Number of components of the graph on the three colours other than
+    missing.  With kept colours a < b < c, every edge of such a component
+    lies in an ab-cycle or a bc-cycle, so the components are the classes of
+    those cycles joined wherever they share a vertex."""
+    a, b, c = (x for x in range(4) if x != missing)
+    ab, m = g._cycles[(a, b)]
+    bc, k = g._cycles[(b, c)]
+    return len(set(_classes(m + k, zip(ab, (m + y for y in bc)))))
 
 
 def is_bipartite(g: ColouredGraph) -> bool:
@@ -219,26 +250,17 @@ def is_gem(g: ColouredGraph) -> bool:
     """True iff every 3-residue is a 2-sphere.
 
     For a component R of the graph on three colours, the represented surface
-    has Euler characteristic (#bicoloured cycles inside R) - |R|/2; the
-    sphere check is chi = 2.  This is the oracle the closed-form criterion
-    is validated against.
+    has Euler characteristic (#bicoloured cycles inside R) - |R|/2, at most 2
+    and equal to 2 exactly for the sphere.  So every residue is a sphere iff,
+    summed over the residues of one missing colour, the cycles less V/2 come
+    to twice the number of residues.  This is the oracle the closed-form
+    criterion is validated against.
     """
-    cycle_id = {}
-    for pair in combinations(range(4), 2):
-        label = [0] * g.vertex_count
-        for num, comp in enumerate(_components(g, pair)):
-            for v in comp:
-                label[v] = num
-        cycle_id[pair] = label
     for missing in range(4):
         kept = tuple(c for c in range(4) if c != missing)
-        for comp in _components(g, kept):
-            cycles = sum(
-                len({cycle_id[pair][v] for v in comp})
-                for pair in combinations(kept, 2)
-            )
-            if cycles - len(comp) // 2 != 2:
-                return False
+        cycles = sum(g._cycles[pair][1] for pair in combinations(kept, 2))
+        if cycles - g.vertex_count // 2 != 2 * _residue_count(g, missing):
+            return False
     return True
 
 
@@ -257,10 +279,7 @@ def is_crystallization(g: ColouredGraph) -> bool:
     """True iff deleting any one colour leaves the graph connected."""
     if not is_gem(g):
         raise NotAGem("graph has a non-spherical 3-residue")
-    return all(
-        len(_components(g, tuple(c for c in range(4) if c != missing))) == 1
-        for missing in range(4)
-    )
+    return all(_residue_count(g, missing) == 1 for missing in range(4))
 
 
 def represented_covering(params):
@@ -352,7 +371,7 @@ def heegaard_genus(g: ColouredGraph, pairing) -> int:
         raise ValueError("pairing must be a cyclic order of all four colours")
     chi = -g.vertex_count
     for i in range(4):
-        chi += len(_components(g, (pairing[i], pairing[(i + 1) % 4])))
+        chi += _cycle_entry(g, (pairing[i], pairing[(i + 1) % 4]))[1]
     if chi % 2:
         raise NonIntegerGenus("odd Euler characteristic %d" % chi)
     return 1 - chi // 2

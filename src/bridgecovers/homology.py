@@ -411,6 +411,10 @@ def _poly_schema(t: TwoBridge, n: int, k: int):
     return build_minkus(n, k, t.alpha, q)
 
 
+# every route name verify_consistency can report, in report order
+ROUTES = ("minkus", "mu3", "takahashi", "polyhedral", "closed_form", "lens", "resultant")
+
+
 def verify_consistency(t: TwoBridge, spec: CoveringSpec) -> dict:
     """Compute H_1 by every applicable route and compare.
 
@@ -447,22 +451,29 @@ def verify_consistency(t: TwoBridge, spec: CoveringSpec) -> dict:
     lens = lens_recognize(t, spec)
     if lens is not None:
         add("lens", group_from_factors(0, [lens[0]]))
-    agree = all(r["group"] == routes[0]["group"] for r in routes)
-    report = {
+    if t.is_knot:
+        routes.append({"route": "resultant",
+                       "order": order_via_resultant(alexander_polynomial(t), n)})
+    return {
         "link": str(t),
         "alpha": t.alpha,
         "beta": t.beta,
         "degree": n,
         "exponents": list(spec.exponents),
         "routes": routes,
-        "agree": agree,
+        "agree": routes_agree(routes),
     }
-    if t.is_knot:
-        order = order_via_resultant(alexander_polynomial(t), n)
-        routes.append({"route": "resultant", "order": order})
-        group = AbelianGroup(**{"rank": routes[0]["group"]["rank"],
-                                "torsion": tuple(routes[0]["group"]["torsion"])})
-        expected = group.order()
-        ok = (order == "infinite") if expected is None else (order == expected)
-        report["agree"] = report["agree"] and ok
-    return report
+
+
+def routes_agree(routes) -> bool:
+    """True iff the group routes give one group and every order route gives
+    its order ("infinite" for positive rank)."""
+    groups = [r["group"] for r in routes if "group" in r]
+    if not groups:
+        return True
+    if any(g != groups[0] for g in groups[1:]):
+        return False
+    expected = AbelianGroup(groups[0]["rank"], tuple(groups[0]["torsion"])).order()
+    if expected is None:
+        expected = "infinite"
+    return all(r["order"] == expected for r in routes if "order" in r)

@@ -15,7 +15,9 @@ requested k is only recorded.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .words import FreeWord, Presentation, format_word
 
@@ -72,17 +74,22 @@ class MinkusSchema:
 
     @property
     def regions(self) -> dict:
-        faces = _faces(self)
         out = {}
-        for (kind, i), (verts, _) in faces.items():
-            label = ("R%d" if kind == "N" else "R'%d") % i
+        for f, (verts, _) in enumerate(self._gluing.faces):
+            label = ("R'%d" if f % 2 else "R%d") % (f // 2)
             out[label] = tuple(self.vertex_name(v) for v in verts)
         return out
 
     @property
     def marked_vertices(self) -> tuple:
         # P_i is the arc endpoint q steps below N on semicircle i
-        return tuple(_v(self, i, self.q) for i in range(self.n))
+        return tuple(_semicircle(self, i)[self.q] for i in range(self.n))
+
+    @cached_property
+    def _gluing(self) -> "_Gluing":
+        # glued on first use and kept for the life of this (immutable) schema,
+        # so counts, relators and the dump all read one gluing
+        return _glue(self)
 
 
 def build_minkus(n: int, k: int, p: int, q: int) -> MinkusSchema:
@@ -96,154 +103,122 @@ def build_minkus(n: int, k: int, p: int, q: int) -> MinkusSchema:
     return MinkusSchema(n, p, q, k % n, shift)
 
 
-def _v(s: MinkusSchema, i: int, t: int) -> int:
-    if t == 0:
-        return 0
-    if t == s.p:
-        return 1
-    return 2 + (i % s.n) * (s.p - 1) + (t - 1)
+def _semicircle(s: MinkusSchema, i: int) -> list:
+    """Vertex ids at heights 0..p on semicircle i (mod n): N, v(i,1..p-1), S."""
+    first = 2 + (i % s.n) * (s.p - 1)
+    return [0, *range(first, first + s.p - 1), 1]
 
 
-def _faces(s: MinkusSchema) -> dict:
-    """Each region as (vertex cycle, slot list); a slot is (edge id, sign).
+def _faces(s: MinkusSchema) -> list:
+    """Regions R_0, R'_0, R_1, R'_1, ... as (vertex cycle, slot list).
 
     Edge ids: semicircle segment sc(i,t) = i*p + t runs v(i,t) -> v(i,t+1);
-    bisecting arc arc(i) = n*p + i runs v(i,q) -> v(i+1, p-q).
+    bisecting arc arc(i) = n*p + i runs v(i,q) -> v(i+1, p-q).  A slot holds
+    the directed edge met there, numbered 2e along edge e and 2e + 1 against.
     """
     n, p, q = s.n, s.p, s.q
-
-    def sc(i, t):
-        return (i % n) * p + t
-
-    def arc(i):
-        return n * p + (i % n)
-
-    faces = {}
-    L = p + 1
+    faces = []
     for i in range(n):
-        verts = [_v(s, i, 0)]
-        slots = []
-        for t in range(q):
-            slots.append((sc(i, t), +1))
-            verts.append(_v(s, i, t + 1))
-        slots.append((arc(i), +1))
-        verts.append(_v(s, i + 1, p - q))
-        for t in range(p - q - 1, 0, -1):
-            slots.append((sc(i + 1, t), -1))
-            verts.append(_v(s, i + 1, t))
-        slots.append((sc(i + 1, 0), -1))
-        faces[("N", i)] = (tuple(verts), tuple(slots))
-
-        verts = [_v(s, i, q)]
-        slots = []
-        for t in range(q, p):
-            slots.append((sc(i, t), +1))
-            verts.append(_v(s, i, t + 1))
-        for t in range(p - 1, p - q - 1, -1):
-            slots.append((sc(i + 1, t), -1))
-            verts.append(_v(s, i + 1, t))
-        slots.append((arc(i), -1))
-        faces[("S", i)] = (tuple(verts), tuple(slots))
-    for verts, slots in faces.values():
-        assert len(verts) == L and len(slots) == L
+        j = (i + 1) % n
+        here, there = _semicircle(s, i), _semicircle(s, j)
+        # R_i: down semicircle i to the arc, back up semicircle i+1 to N
+        verts = here[:q + 1] + there[p - q:0:-1]
+        slots = ([2 * (i * p + t) for t in range(q)] + [2 * (n * p + i)]
+                 + [2 * (j * p + t) + 1 for t in range(p - q - 1, -1, -1)])
+        faces.append((verts, slots))
+        # R'_i: from the arc down semicircle i to S, back up semicircle i+1
+        verts = here[q:] + there[p - 1:p - q - 1:-1]
+        slots = ([2 * (i * p + t) for t in range(q, p)]
+                 + [2 * (j * p + t) + 1 for t in range(p - 1, p - q - 1, -1)]
+                 + [2 * (n * p + i) + 1])
+        faces.append((verts, slots))
+    for verts, slots in faces:
+        assert len(verts) == p + 1 and len(slots) == p + 1
     return faces
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def _classes(size: int, pairs) -> list:
+    """Representative of each of 0..size-1 once every pair is identified."""
+    parent = list(range(size))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        parent[x] = y
+    for v in range(size):
+        # point every id straight at its root
+        while parent[parent[v]] != parent[v]:
+            parent[v] = parent[parent[v]]
+    return parent
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+class _Gluing(NamedTuple):
+    """The quotient of a schema under R_i -> R'_{i - shift}: the faces, the
+    class of each vertex, and one relator per edge class as a tuple of
+    (generator, sign) letters."""
 
-    def class_count(self, size):
-        return len({self.find(x) for x in range(size)})
+    faces: list
+    vertex_class: list
+    relators: list
 
 
-def _glued(s: MinkusSchema):
-    """Faces, directed-edge traversal table, and the vertex/edge unions
-    induced by the orientation-reversing pairing R_i -> R'_{i - shift}."""
+def _glue(s: MinkusSchema) -> _Gluing:
+    """Pair the faces orientation-reversingly and read off the quotient.
+
+    Going around an edge class crosses one face pair per step: from the slot
+    holding a directed edge to its partner slot, then on along the partner's
+    edge reversed.  Each edge lies in exactly two slots, so this cycle covers
+    its whole class, and the reversed directed edges form the reverse cycle.
+    """
     faces = _faces(s)
     n, q = s.n, s.q
-    L = s.p + 1
+    directed = 2 * s.edge_count
+    assert len({de for _, slots in faces for de in slots}) == directed
 
-    trav = {}
-    for key, (verts, slots) in faces.items():
-        for pos, (e, sg) in enumerate(slots):
-            trav[(e, sg)] = (key, pos)
-    assert len(trav) == 2 * s.edge_count
-
-    vuf = _UnionFind(s.vertex_count)
-    euf = _UnionFind(s.edge_count)
+    nxt = [0] * directed
+    letter = [None] * directed
+    vertex_pairs = []
     for i in range(n):
         l = (i - s.pairing_shift) % n
-        nverts, nslots = faces[("N", i)]
-        sverts, sslots = faces[("S", l)]
-        # anchor: north position q (the marked vertex) maps to south position 0,
-        # slots aligned reversed from there
-        for t in range(L):
-            en, _ = nslots[(q + t) % L]
-            es, _ = sslots[(-t - 1) % L]
-            euf.union(en, es)
-            vuf.union(nverts[(q + t) % L], sverts[(-t) % L])
-    return faces, trav, vuf, euf
+        (nverts, nslots), (sverts, sslots) = faces[2 * i], faces[2 * l + 1]
+        forward, backward = (i + 1, +1), (i + 1, -1)
+        # anchor: north position q (the marked vertex) maps to south position 0;
+        # the slots after each run on in opposite directions
+        for a, b in zip(nslots[q:] + nslots[:q], sslots[::-1]):
+            nxt[a], nxt[b] = b ^ 1, a ^ 1
+            letter[a], letter[b] = forward, backward
+        vertex_pairs += zip(nverts[q:] + nverts[:q], sverts[:1] + sverts[:0:-1])
+    vertex_class = _classes(s.vertex_count, vertex_pairs)
+
+    # one relator per edge class: walk each cycle from its first directed
+    # edge in slot order, and retire its reverse with it
+    relators = []
+    seen = [False] * directed
+    for _, slots in faces:
+        for de0 in slots:
+            if seen[de0]:
+                continue
+            rel = []
+            de = de0
+            while True:
+                seen[de] = seen[de ^ 1] = True
+                rel.append(letter[de])
+                de = nxt[de]
+                if de == de0:
+                    break
+            relators.append(tuple(rel))
+    return _Gluing(faces, vertex_class, relators)
 
 
 def quotient_counts(s: MinkusSchema) -> CellComplexCounts:
-    """Cell counts of the identification space, by union-find."""
-    _, _, vuf, euf = _glued(s)
-    t0 = vuf.class_count(s.vertex_count)
-    t1 = euf.class_count(s.edge_count)
+    """Cell counts of the identification space."""
+    g = s._gluing
+    t0, t1 = len(set(g.vertex_class)), len(g.relators)
     t2, t3 = s.n, 1
     return CellComplexCounts(t0, t1, t2, t3, t0 - t1 + t2 - t3)
-
-
-def _edge_relators(s: MinkusSchema):
-    faces, trav, _, euf = _glued(s)
-    n, q = s.n, s.q
-    L = s.p + 1
-
-    def step(e, sg):
-        key, pos = trav[(e, sg)]
-        kind, i = key
-        if kind == "N":
-            l = (i - s.pairing_shift) % n
-            t = (pos - q) % L
-            es, ss = faces[("S", l)][1][(-t - 1) % L]
-            return (i, +1), (es, -ss)
-        i_n = (i + s.pairing_shift) % n
-        t = (-1 - pos) % L
-        en, sn = faces[("N", i_n)][1][(q + t) % L]
-        return (i_n, -1), (en, -sn)
-
-    relators = []
-    seen = set()
-    done = set()
-    for e0 in trav:
-        if e0 in seen:
-            continue
-        rel = []
-        e = e0
-        while True:
-            seen.add(e)
-            g, e = step(*e)
-            rel.append(g)
-            if e == e0:
-                break
-        root = euf.find(e0[0])
-        if root in done:
-            continue
-        done.add(root)
-        relators.append(FreeWord(tuple((i + 1, sg) for i, sg in rel)))
-    return relators
 
 
 def schema_presentation(s: MinkusSchema) -> Presentation:
@@ -252,7 +227,7 @@ def schema_presentation(s: MinkusSchema) -> Presentation:
     counts = quotient_counts(s)
     if counts.chi != 0:
         raise NotAManifold("chi = %d" % counts.chi)
-    return Presentation(s.n, tuple(_edge_relators(s)))
+    return Presentation(s.n, tuple(FreeWord(rel) for rel in s._gluing.relators))
 
 
 def schema_dump(s: MinkusSchema) -> str:
@@ -262,10 +237,9 @@ def schema_dump(s: MinkusSchema) -> str:
     lines.append("regions:")
     for label, verts in s.regions.items():
         lines.append("  %s: %s" % (label, " ".join(verts)))
-    _, _, vuf, _ = _glued(s)
     classes = {}
-    for v in range(s.vertex_count):
-        classes.setdefault(vuf.find(v), []).append(s.vertex_name(v))
+    for v, root in enumerate(s._gluing.vertex_class):
+        classes.setdefault(root, []).append(s.vertex_name(v))
     lines.append("vertex classes:")
     for names in classes.values():
         lines.append("  {%s}" % ", ".join(names))
@@ -274,6 +248,6 @@ def schema_dump(s: MinkusSchema) -> str:
                  % (counts.t0, counts.t1, counts.t2, counts.t3, counts.chi))
     if counts.chi == 0:
         lines.append("relators:")
-        for r in _edge_relators(s):
-            lines.append("  %s" % format_word(r))
+        for rel in s._gluing.relators:
+            lines.append("  %s" % format_word(FreeWord(rel)))
     return "\n".join(lines)

@@ -53,6 +53,11 @@ class TakahashiState:
     b_words: dict
 
 
+def _check_degree(n: int) -> None:
+    if n <= 0:
+        raise ValueError("covering degree must be positive, got %d" % n)
+
+
 # ---- Minkus presentation ----
 
 def minkus_shift_data(t: TwoBridge) -> MinkusShiftData:
@@ -82,6 +87,7 @@ def _minkus_letters(t: TwoBridge) -> list:
 
 def minkus_cyclic(t: TwoBridge, n: int) -> CyclicPresentation:
     """The defining word of the cyclic presentation, indices wrapped mod n."""
+    _check_degree(n)
     w = FreeWord(tuple(((i - 1) % n + 1, e) for i, e in _minkus_letters(t)))
     return CyclicPresentation(n, w)
 
@@ -134,13 +140,19 @@ def _mu3_shifts(alpha: int, beta: int, n: int, k: int):
     return k, e, s
 
 
-def mu3_data(t: TwoBridge, n: int, k: int) -> Mu3Data:
+def _mu3_checked(t: TwoBridge, n: int, k: int):
+    """_mu3_shifts after the checks both mu3 entry points share."""
     if not t.is_link:
         raise NotALink(str(t))
+    _check_degree(n)
     k %= n
     if k == 0:
         raise ValueError("k must be nonzero mod n")
-    _, e, s = _mu3_shifts(t.alpha, t.beta, n, k)
+    return _mu3_shifts(t.alpha, t.beta, n, k)
+
+
+def mu3_data(t: TwoBridge, n: int, k: int) -> Mu3Data:
+    k, e, s = _mu3_checked(t, n, k)
     return Mu3Data(n // gcd(n, k), tuple(e), tuple(s))
 
 
@@ -148,12 +160,7 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     """Presentation of M_{n,1,k} read off the coloured graph: gcd(n,k)
     relators Q_i = prod_j x_{i-jk} and n relators Q'_i = prod_j x_{i+s_j}^{e_j}.
     """
-    if not t.is_link:
-        raise NotALink(str(t))
-    k %= n
-    if k == 0:
-        raise ValueError("k must be nonzero mod n")
-    k, e, s = _mu3_shifts(t.alpha, t.beta, n, k)
+    k, e, s = _mu3_checked(t, n, k)
     d = gcd(n, k)
     rels = []
     for i in range(1, d + 1):
@@ -168,6 +175,7 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
 def takahashi_state(form: EvenConwayForm, n: int) -> TakahashiState:
     if len(form.s) != form.m:
         raise NotAKnot("even form lacks the final twist parameter")
+    _check_degree(n)
     q, s = form.q, form.s
     d = {}
     b = {}

@@ -155,3 +155,129 @@ def test_homology_route_filter(capsys):
                          "--routes", "minkus,resultant", "--format", "json")
     assert code == 0
     assert [r["route"] for r in rec["routes"]] == ["minkus", "resultant"]
+
+
+def test_homology_unknown_route_exits_2(capsys):
+    code, out, err = run(capsys, "homology", "5", "3", "3", "--routes", "bogus")
+    assert code == 2
+    assert out == ""
+    assert "error: unknown route 'bogus'" in err
+    for name in ("minkus", "mu3", "takahashi", "polyhedral", "closed_form",
+                 "lens", "resultant"):
+        assert name in err
+    code, _, err = run(capsys, "homology", "5", "3", "3", "--routes", "minkus,bogus")
+    assert code == 2 and "'bogus'" in err
+
+
+def test_homology_agree_is_computed_after_filtering(capsys, monkeypatch):
+    from bridgecovers import cli
+
+    real = cli.verify_consistency
+
+    def with_a_wrong_route(t, spec):
+        report = real(t, spec)
+        report["routes"].insert(0, {"route": "lens", "group": {"rank": 0, "torsion": [3]}})
+        report["agree"] = False
+        return report
+
+    monkeypatch.setattr(cli, "verify_consistency", with_a_wrong_route)
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json")
+    assert code == 1 and rec["agree"] is False
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
+                         "--routes", "minkus,takahashi,resultant")
+    assert code == 0 and rec["agree"] is True
+    assert [r["route"] for r in rec["routes"]] == ["minkus", "takahashi", "resultant"]
+    code, out, _ = run(capsys, "homology", "5", "3", "3", "--routes", "lens,minkus")
+    assert code == 1
+    assert out.splitlines()[-1] == "agree: NO"
+
+
+def test_homology_filtered_order_route_is_checked(capsys, monkeypatch):
+    from bridgecovers import cli
+
+    real = cli.verify_consistency
+
+    def wrong_order(t, spec):
+        report = real(t, spec)
+        report["routes"][-1] = {"route": "resultant", "order": 15}
+        return report
+
+    monkeypatch.setattr(cli, "verify_consistency", wrong_order)
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
+                         "--routes", "polyhedral,resultant")
+    assert code == 1 and rec["agree"] is False
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
+                         "--routes", "polyhedral")
+    assert code == 0 and rec["agree"] is True
+
+
+def test_present_minkus_rejects_link_exponent(capsys):
+    code, out, err = run(capsys, "present", "8", "3", "3", "2")
+    assert code == 2
+    assert out == ""
+    assert "--method mu3" in err
+    # k = 4 is k = 1 mod 3: the same covering, which minkus presents
+    code, rec = run_json(capsys, "present", "8", "3", "3", "4", "--format", "json")
+    assert code == 0 and rec["method"] == "minkus"
+    code, rec = run_json(capsys, "present", "8", "3", "3", "2", "--method", "mu3",
+                         "--format", "json")
+    assert code == 0 and rec["method"] == "mu3"
+    # on a knot the exponent does not change the covering
+    code, _, _ = run(capsys, "present", "5", "3", "3", "2")
+    assert code == 0
+
+
+def test_present_bad_degree_exits_2(capsys):
+    for argv in (("present", "2", "-1", "0", "-1"),
+                 ("present", "3", "-1", "-2", "-1", "--method", "takahashi"),
+                 ("present", "8", "3", "0", "1", "--method", "mu3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: covering degree must be positive" in err
+
+
+def test_main_is_reentrant(capsys):
+    # the parser is built once per process; no call may leak into the next
+    run(capsys, "present", "5", "3", "3", "--method", "mu3")
+    code, rec = run_json(capsys, "present", "5", "3", "3", "--format", "json")
+    assert code == 0 and rec["method"] == "minkus"
+    code, rec = run_json(capsys, "present", "8", "3", "3", "--method", "mu3", "--format", "json")
+    assert code == 0 and rec["method"] == "mu3"
+    code, rec = run_json(capsys, "present", "8", "3", "3", "--format", "json")
+    assert code == 0 and rec["method"] == "minkus"
+
+    _, rec = run_json(capsys, "--format", "json", "homology", "5", "3", "3")
+    assert rec["verb"] == "homology"
+    code, out, _ = run(capsys, "homology", "5", "3", "3")
+    assert code == 0
+    assert out.startswith("b(5,3), degree 3") and out.splitlines()[-1] == "agree: yes"
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--routes", "minkus",
+                         "--format", "json")
+    assert [r["route"] for r in rec["routes"]] == ["minkus"]
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json")
+    assert len(rec["routes"]) > 1
+
+    good = ("info", "8", "3", "--format", "json")
+    _, first = run_json(capsys, *good)
+    assert run(capsys, "homology", "4", "2", "3")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["present", "5", "3", "3", "--method", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again = run_json(capsys, *good)
+    assert code == 0 and again == first
+
+
+def test_present_grid_never_raises(capsys):
+    # bad degrees, exponents, methods and links give exit 2, never a traceback
+    codes = set()
+    for alpha in range(-1, 5):
+        for beta in range(-1, 5):
+            for n in range(-2, 4):
+                for k in range(-1, 3):
+                    for method in ("minkus", "mu3", "takahashi"):
+                        codes.add(main(["present", str(alpha), str(beta), str(n),
+                                        str(k), "--method", method]))
+    capsys.readouterr()
+    assert codes == {0, 2}

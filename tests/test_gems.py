@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -196,3 +198,91 @@ def test_serialize_roundtrip():
     assert parse_graph(serialize_graph(g)).involutions == g.involutions
     with pytest.raises(ValueError):
         parse_graph("0 1\n1 0\n")
+
+
+def _residues(g, colours):
+    """Vertex sets of the components of g on the given colours, by search."""
+    left = set(range(g.vertex_count))
+    out = []
+    while left:
+        stack = [left.pop()]
+        comp = set(stack)
+        while stack:
+            v = stack.pop()
+            for c in colours:
+                w = g.involutions[c][v]
+                if w not in comp:
+                    comp.add(w)
+                    left.discard(w)
+                    stack.append(w)
+        out.append(comp)
+    return out
+
+
+def _reference_is_gem(g):
+    # every 3-residue on its own: (#bicoloured cycles in it) - |R|/2 == 2
+    for missing in range(4):
+        kept = [c for c in range(4) if c != missing]
+        for comp in _residues(g, kept):
+            cycles = sum(sum(1 for cyc in _residues(g, pair) if cyc <= comp)
+                         for pair in combinations(kept, 2))
+            if cycles - len(comp) // 2 != 2:
+                return False
+    return True
+
+
+def _random_graph(rng, v_count):
+    while True:
+        inv = []
+        for _ in range(4):
+            order = list(range(v_count))
+            rng.shuffle(order)
+            col = [0] * v_count
+            for a, b in zip(order[::2], order[1::2]):
+                col[a], col[b] = b, a
+            inv.append(tuple(col))
+        try:
+            return ColouredGraph(tuple(inv))
+        except ValueError:
+            continue
+
+
+def test_cycle_table_against_search():
+    # random graphs reach non-bipartite residues (projective planes, chi = 1)
+    # that the Lins-Mandel families do not
+    rng = random.Random(7)
+    gems = 0
+    for v_count in (2, 4, 6, 8, 10, 12) * 40:
+        g = _random_graph(rng, v_count)
+        for pair in combinations(range(4), 2):
+            assert bicoloured_cycles(g, pair) == sorted(map(len, _residues(g, pair)))
+        assert is_gem(g) == _reference_is_gem(g)
+        if is_gem(g):
+            gems += 1
+            crystal = all(len(_residues(g, [c for c in range(4) if c != m])) == 1
+                          for m in range(4))
+            assert is_crystallization(g) == crystal
+        else:
+            with pytest.raises(NotAGem):
+                is_crystallization(g)
+    assert 0 < gems < 240
+
+
+def test_cycle_table_is_built_once_per_graph(monkeypatch):
+    table = ColouredGraph.__dict__["_cycles"]
+    built = []
+    real = table.func
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(table, "func", counting)
+    g = build_lins_mandel(LMParams(5, 8, 3, 3))
+    assert is_gem(g) and is_crystallization(g)
+    for order in CYCLIC_ORDERS:
+        heegaard_genus(g, order)
+    bicoloured_cycles(g, (3, 1))
+    assert built == [g]
+    build_lins_mandel(LMParams(5, 8, 3, 3))._cycles
+    assert len(built) == 2

@@ -3,8 +3,11 @@ from math import gcd
 import pytest
 
 from bridgecovers.homology import AbelianGroup, h1
+from bridgecovers import polyhedral
+from bridgecovers.cli import main
 from bridgecovers.polyhedral import (
     BadParams,
+    MinkusSchema,
     NotAManifold,
     build_minkus,
     quotient_counts,
@@ -100,3 +103,63 @@ def test_marked_vertices():
     assert len(s.marked_vertices) == 3
     names = [s.vertex_name(v) for v in s.marked_vertices]
     assert names == ["v(0,3)", "v(1,3)", "v(2,3)"]
+
+
+SCHEMA_3_1_5_3 = """\
+schema n=3 k=1 p=5 q=3 (pairing shift 1)
+regions:
+  R0: N v(0,1) v(0,2) v(0,3) v(1,2) v(1,1)
+  R'0: v(0,3) v(0,4) S v(1,4) v(1,3) v(1,2)
+  R1: N v(1,1) v(1,2) v(1,3) v(2,2) v(2,1)
+  R'1: v(1,3) v(1,4) S v(2,4) v(2,3) v(2,2)
+  R2: N v(2,1) v(2,2) v(2,3) v(0,2) v(0,1)
+  R'2: v(2,3) v(2,4) S v(0,4) v(0,3) v(0,2)
+vertex classes:
+  {N, v(0,2), v(0,4), v(1,2), v(1,4), v(2,2), v(2,4)}
+  {S, v(0,1), v(0,3), v(1,1), v(1,3), v(2,1), v(2,3)}
+cells: t0=2 t1=4 t2=3 t3=1 chi=0
+relators:
+  x1 x2^-1 x1^2 x3^-1
+  x1 x3^-1 x2 x3^-2
+  x1 x3 x2
+  x1 x2^-2 x3 x2^-1"""
+
+
+def test_schema_dump_text():
+    # regions, vertex classes and relators in their established order
+    assert schema_dump(build_minkus(3, 1, 5, 3)) == SCHEMA_3_1_5_3
+
+
+def test_literal_shift_is_not_a_manifold():
+    # odd p with the literal i-k matching: chi != 0, so no presentation
+    s = MinkusSchema(5, 5, 3, 2, 2)
+    counts = quotient_counts(s)
+    assert (counts.t0, counts.t1, counts.chi) == (2, 2, 4)
+    with pytest.raises(NotAManifold, match="chi = 4"):
+        schema_presentation(s)
+    text = schema_dump(s)
+    assert text.endswith("chi=4")
+    assert "relators:" not in text
+
+
+def test_each_call_glues_once(monkeypatch, capsys):
+    calls = []
+    real = polyhedral._glue
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(polyhedral, "_glue", counting)
+    schema_presentation(build_minkus(3, 1, 5, 3))
+    assert len(calls) == 1
+    schema_dump(build_minkus(3, 1, 5, 3))
+    assert len(calls) == 2
+    assert main(["polyhedral", "3", "1", "5", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+    s = build_minkus(4, 1, 6, 1)
+    quotient_counts(s)
+    schema_presentation(s)
+    s.regions
+    assert len(calls) == 4

@@ -152,3 +152,21 @@ def test_word_polynomial_is_alexander():
             fp = word_polynomial(takahashi_word(form, n))
             mk = word_polynomial(minkus_cyclic(t, n))
             assert fp.unit_equal_mod(mk, n), (t, n)
+
+
+def test_degree_must_be_positive():
+    knot, link = normalize(5, 3), normalize(8, 3)
+    for n in (0, -1, -2):
+        with pytest.raises(ValueError, match="degree"):
+            minkus_presentation(knot, n)
+        with pytest.raises(ValueError, match="degree"):
+            minkus_presentation(link, n)
+        with pytest.raises(ValueError, match="degree"):
+            mu3_presentation(link, n, 1)
+        with pytest.raises(ValueError, match="degree"):
+            mu3_data(link, n, 1)
+        with pytest.raises(ValueError, match="degree"):
+            takahashi_word(even_cf_expand(knot), n)
+    # degree 1 is the trivial covering and stays accepted
+    assert minkus_presentation(knot, 1).generator_count == 1
+    assert takahashi_word(even_cf_expand(knot), 1).n == 1

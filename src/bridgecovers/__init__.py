@@ -12,7 +12,7 @@ from .covering import (CoveringClass, CoveringSpec, GenusBounds, GeometryType,
 from .decomposition import (DecompositionResult, LinkLDescriptor, MonodromyRep,
                             build_monodromy, component_orbit_counts, decompose,
                             orbit_genus)
-from .gems import (CYCLIC_ORDERS, ColouredGraph, GLMParams, LMParams, SPHERE,
+from .gems import (CYCLIC_ORDERS, ColouredGraph, LMParams, SPHERE,
                    build_generalized, build_lins_mandel, gem_closed_form,
                    graph_isomorphic, heegaard_genus, is_crystallization, is_gem,
                    lm_isomorphic_closed_form, represented_covering)

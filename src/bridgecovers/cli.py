@@ -14,9 +14,9 @@ from math import gcd
 
 from .covering import CoveringSpec, classify, genus_bounds, geometry, lens_recognize
 from .decomposition import decompose
-from .gems import (CYCLIC_ORDERS, GLMParams, LMParams, SPHERE, NonIntegerGenus,
-                   build_generalized, build_lins_mandel, gem_closed_form,
-                   heegaard_genus, is_crystallization, is_gem, represented_covering)
+from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, NonIntegerGenus,
+                   build_generalized, gem_closed_form, heegaard_genus,
+                   is_crystallization, is_gem, represented_covering)
 from .homology import ROUTES, AbelianGroup, routes_agree, verify_consistency
 from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
 from .presentations import minkus_presentation, mu3_presentation, takahashi_word
@@ -67,7 +67,8 @@ def cmd_classify(args):
     data = {"link": str(t), "degree": spec.n, "exponents": list(spec.exponents),
             "classes": {"strictly": cls.strictly, "almost_strictly": cls.almost_strictly,
                         "meridian": cls.meridian, "singly": cls.singly,
-                        "monodromy": cls.monodromy},
+                        # every cyclic covering is monodromy-cyclic
+                        "monodromy": True},
             "geometry": geometry(t, spec).value,
             "genus_bounds": {"general": bounds.general, "braid": bounds.braid,
                              "symmetric": bounds.symmetric},
@@ -125,19 +126,18 @@ def cmd_homology(args):
             lines.append("%-12s %s" % (rec["route"] + ":", _group_str(rec["group"])))
         else:
             lines.append("%-12s order %s" % (rec["route"] + ":", rec["order"]))
-    lines.append("agree: %s" % ("yes" if report["agree"] else "NO"))
-    return (0 if report["agree"] else 1), report, lines
+    verdict = {True: "yes", False: "NO", None: "unverified"}[report["agree"]]
+    lines.append("agree: %s" % verdict)
+    return (1 if report["agree"] is False else 0), report, lines
 
 
 def cmd_gem(args):
-    if args.cprime is None:
-        params = LMParams(args.n, args.p, args.q, args.c)
-        graph = build_lins_mandel(params)
-        label = "G(%d, %d, %d, %d)" % (args.n, args.p, params.q, params.c)
-    else:
-        params = GLMParams(args.n, args.p, args.q, args.c, args.cprime)
-        graph = build_generalized(params)
-        label = "G(%d, %d, %d, %d, %d)" % (args.n, args.p, params.q, params.c, params.cprime)
+    # c' is shown only when given; the default c' = 1 is the plain family
+    given = () if args.cprime is None else (args.cprime,)
+    params = LMParams(args.n, args.p, args.q, args.c, *given)
+    graph = build_generalized(params)
+    shown = (params.n, params.p, params.q, params.c, params.cprime)[:4 + len(given)]
+    label = "G(%s)" % ", ".join(map(str, shown))
     gem = is_gem(graph)
     data = {"graph": label, "vertices": graph.vertex_count,
             "gem": gem, "closed_form": gem_closed_form(params)}
@@ -220,7 +220,7 @@ def cmd_verify(args):
     amax, nmax = args.sweep
     if amax < 2 or nmax < 2:
         raise ValueError("sweep bounds must be at least 2")
-    checked = 0
+    checked = unverified = 0
     mismatches = []
     for alpha in range(2, amax + 1):
         for beta in range(1, alpha):
@@ -235,11 +235,14 @@ def cmd_verify(args):
                 for spec in specs:
                     report = verify_consistency(t, spec)
                     checked += 1
-                    if not report["agree"]:
+                    if report["agree"] is False:
                         mismatches.append(report)
+                    elif report["agree"] is None:
+                        unverified += 1
     data = {"alpha_max": amax, "n_max": nmax, "checked": checked,
-            "mismatches": mismatches, "ok": not mismatches}
-    lines = ["checked %d coverings (alpha <= %d, n <= %d)" % (checked, amax, nmax)]
+            "unverified": unverified, "mismatches": mismatches, "ok": not mismatches}
+    lines = ["checked %d coverings (alpha <= %d, n <= %d)" % (checked, amax, nmax),
+             "unverified: %d" % unverified]
     for rep in mismatches:
         lines.append("MISMATCH %s degree %d exponents %s: %s"
                      % (rep["link"], rep["degree"], rep["exponents"],

@@ -57,10 +57,9 @@ class CoveringClass:
     almost_strictly: bool
     meridian: bool
     singly: bool
-    monodromy: bool
 
     def __post_init__(self):
-        chain = (self.strictly, self.almost_strictly, self.meridian, self.singly, self.monodromy)
+        chain = (self.strictly, self.almost_strictly, self.meridian, self.singly)
         for a, b in zip(chain, chain[1:]):
             if a and not b:
                 raise ValueError("implication chain violated: %r" % (chain,))
@@ -96,7 +95,7 @@ def classify(spec: CoveringSpec) -> CoveringClass:
     almost = len({frozenset((k, (-k) % n)) for k in ks}) == 1
     merid = all(gcd(n, k) == 1 for k in ks)
     singly = any(gcd(n, k) == 1 for k in ks)
-    return CoveringClass(strictly, almost, merid, singly, True)
+    return CoveringClass(strictly, almost, merid, singly)
 
 
 def covering_equivalent(t: TwoBridge, s1: CoveringSpec, s2: CoveringSpec) -> bool:

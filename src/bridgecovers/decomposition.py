@@ -10,25 +10,23 @@ permutations that drive the orbit counts.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-from .two_bridge import NotALink, Rational, TwoBridge, linking_number
+from .two_bridge import NotALink, TwoBridge, linking_number
 
 
 @dataclass(frozen=True)
 class LinkLDescriptor:
     """The link L(d, alpha_1/beta): d ladder strands closed over one box row.
 
-    Not a diagram, just the parameters.  source_alpha keeps the alpha of the
-    2-bridge link the descriptor came from (alpha_1 is its half, so the
-    fraction alone does not determine it once reduced conventions drift).
+    Not a diagram, just the parameters.
     """
 
     d: int
-    alpha1_over_beta: Rational
+    alpha1_over_beta: Fraction
     l: int
     components: int
-    source_alpha: int
 
     def __post_init__(self):
         if self.d < 1:
@@ -124,10 +122,9 @@ def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     l = linking_number(t)
     inter = LinkLDescriptor(
         d=d,
-        alpha1_over_beta=Rational(t.alpha // 2, t.beta),
+        alpha1_over_beta=Fraction(t.alpha // 2, t.beta),
         l=l,
         components=1 + gcd(d, l),
-        source_alpha=t.alpha,
     )
     return DecompositionResult(
         d=d,

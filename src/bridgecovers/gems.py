@@ -112,31 +112,15 @@ class ColouredGraph:
 
 @dataclass(frozen=True)
 class LMParams:
-    """Parameters (n, p, q, c): q reduced mod 2p, c mod n, gcd(p, q) = 1."""
+    """Parameters (n, p, q, c, c') of the generalized family: q reduced mod 2p,
+    c and c' mod n, gcd(p, q) = 1 and gcd(n, c, c') = 1.  The default c' = 1
+    is the Lins-Mandel family G(n, p, q, c)."""
 
     n: int
     p: int
     q: int
     c: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError("gcd(p, q) must be 1")
-        object.__setattr__(self, "q", self.q % (2 * self.p))
-        object.__setattr__(self, "c", self.c % self.n)
-
-
-@dataclass(frozen=True)
-class GLMParams:
-    """As LMParams plus a second column shift c' with gcd(n, c, c') = 1."""
-
-    n: int
-    p: int
-    q: int
-    c: int
-    cprime: int
+    cprime: int = 1
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
@@ -150,24 +134,13 @@ class GLMParams:
         object.__setattr__(self, "cprime", self.cprime % self.n)
 
 
-@dataclass(frozen=True)
-class DunwoodyParams:
-    """Record of a Dunwoody family member; no arithmetic enforced."""
-
-    a: int
-    b: int
-    c: int
-    n: int
-    r: int
-    s: object = None  # None marks the shift parameter as unresolved
-
-
 def eta(j: int, p: int) -> int:
     """+1 on residues 1..p mod 2p, -1 on the rest (so eta(0) = -1)."""
     return 1 if 1 <= j % (2 * p) <= p else -1
 
 
-def _build(n: int, p: int, q: int, c: int, cp: int) -> ColouredGraph:
+def _build(params: LMParams) -> ColouredGraph:
+    n, p, q, c, cp = params.n, params.p, params.q, params.c, params.cprime
     width = 2 * p
 
     def idx(i, j):
@@ -185,12 +158,12 @@ def _build(n: int, p: int, q: int, c: int, cp: int) -> ColouredGraph:
 
 def build_lins_mandel(params: LMParams) -> ColouredGraph:
     """G(n, p, q, c) on Z_n x Z_2p with the four standard involutions."""
-    return _build(params.n, params.p, params.q, params.c, 1)
+    return _build(params)
 
 
-def build_generalized(params: GLMParams) -> ColouredGraph:
-    """Same as build_lins_mandel but colour 1 shifts columns by c'."""
-    return _build(params.n, params.p, params.q, params.c, params.cprime)
+def build_generalized(params: LMParams) -> ColouredGraph:
+    """Same as build_lins_mandel; colour 1 shifts columns by c'."""
+    return _build(params)
 
 
 def _component(g: ColouredGraph, colours, start: int) -> list:
@@ -264,13 +237,12 @@ def is_gem(g: ColouredGraph) -> bool:
     return True
 
 
-def gem_closed_form(params) -> bool:
+def gem_closed_form(params: LMParams) -> bool:
     """Arithmetic gem criterion: p even, a vanishing shift, or c = (-1)^q c'."""
-    n = params.n
+    n, cp = params.n, params.cprime
     if params.p % 2 == 0:
         return True
-    cp = getattr(params, "cprime", 1)
-    if params.c % n == 0 or cp % n == 0:
+    if params.c == 0 or cp == 0:
         return True
     return (params.c - (-1) ** params.q * cp) % n == 0
 
@@ -282,7 +254,7 @@ def is_crystallization(g: ColouredGraph) -> bool:
     return all(_residue_count(g, missing) == 1 for missing in range(4))
 
 
-def represented_covering(params):
+def represented_covering(params: LMParams):
     """The 2-bridge link and covering spec a gem's manifold realizes.
 
     Returns SPHERE for the degenerate ranges (p = 1 or a vanishing shift);
@@ -291,14 +263,13 @@ def represented_covering(params):
     """
     if not gem_closed_form(params):
         raise NotAManifold("parameters fail the gem criterion")
-    n = params.n
-    cp = getattr(params, "cprime", 1)
-    if params.p == 1 or params.c % n == 0 or cp % n == 0:
+    n, cp = params.n, params.cprime
+    if params.p == 1 or params.c == 0 or cp == 0:
         return SPHERE
     t = normalize(params.p, params.q)
     if t.is_knot:
         return t, CoveringSpec(n, (-params.c % n,))
-    return t, CoveringSpec(n, (cp % n, -params.c % n))
+    return t, CoveringSpec(n, (cp, -params.c % n))
 
 
 def _rooted_match(g1: ColouredGraph, g2: ColouredGraph, sigma, w0: int) -> bool:
@@ -340,10 +311,13 @@ def lm_isomorphic_closed_form(a: LMParams, b: LMParams) -> bool:
     For even p the answer depends on gcd(n, c): q' must be +-q^{+-1} mod 2p
     with c' = c (or c^{+-1} in the coprime case), or that shifted by p with
     c' negated.  For odd p the criterion is stated only on the gem range
-    c = (-1)^q, where it reads q' = +-q^{+-1} mod p.
+    c = (-1)^q, where it reads q' = +-q^{+-1} mod p.  The conditions are
+    stated for c' = 1 only.
     """
     if a.n <= 2 or a.p <= 2 or b.n <= 2 or b.p <= 2:
         raise OutOfRange("isomorphism conditions require n, p > 2")
+    if a.cprime != 1 or b.cprime != 1:
+        raise OutOfRange("isomorphism conditions are stated for c' = 1")
     if b.n != a.n or b.p != a.p:
         return False
     n, p = a.n, a.p
@@ -375,13 +349,6 @@ def heegaard_genus(g: ColouredGraph, pairing) -> int:
     if chi % 2:
         raise NonIntegerGenus("odd Euler characteristic %d" % chi)
     return 1 - chi // 2
-
-
-def dunwoody_params(a: int, r: int, n: int):
-    """Record (a, 0, 1, n, r, s unresolved) and the knot b(2a+1, 2r) it covers."""
-    if a <= 0 or r <= 0 or n <= 1:
-        raise ValueError("need a, r > 0 and n > 1")
-    return DunwoodyParams(a, 0, 1, n, r, None), normalize(2 * a + 1, 2 * r)
 
 
 def serialize_graph(g: ColouredGraph) -> str:

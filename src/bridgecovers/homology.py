@@ -8,8 +8,9 @@ arithmetic is exact; disagreement between routes is reported as data.
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-from .covering import CoveringSpec, lens_recognize
+from .covering import CoveringSpec, _check_components, lens_recognize
 from .polyhedral import build_minkus, schema_presentation
 from .presentations import (
     alexander_polynomial,
@@ -88,29 +89,83 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """Intermediate quantities of the arithmetic homology formulas.
+class EvenAlphaParams(NamedTuple):
+    """Intermediate quantities of the even-alpha formulas."""
 
-    The even-alpha formulas fill s, d, h, m, a, b; the genus-one recurrence
-    fills hg and the two sequences (indexed from 1, slot 0 unused).
+    s: int
+    d: int
+    h: int
+    m: int
+    a: int
+    b: int
+
+
+class GenusOneParams(NamedTuple):
+    """Twist parameter and the two recurrence sequences of a genus-one knot,
+    indexed from 1 (slot 0 unused)."""
+
+    hg: int
+    aprime: tuple
+    asecond: tuple
+
+
+def _bareiss(entries, cols: int) -> tuple:
+    """Rank r and signed last pivot of fraction-free (Bareiss) elimination.
+
+    Each pivot is the first nonzero entry, in row-major order, of the block
+    not yet eliminated, moved into place by a row and a column swap.  The
+    last pivot is the leading r x r minor of the permuted matrix; times the
+    sign of the swaps it is an r x r minor of the input, and for a
+    nonsingular square input its determinant.  Every division is exact.
     """
+    b = [list(row) for row in entries]
+    rows = len(b)
+    prev = sign = 1
+    r = 0
+    while r < min(rows, cols):
+        piv = None
+        for i in range(r, rows):
+            for j in range(r, cols):
+                if b[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != r:
+            b[r], b[i0] = b[i0], b[r]
+            sign = -sign
+        if j0 != r:
+            for row in b:
+                row[r], row[j0] = row[j0], row[r]
+            sign = -sign
+        top = b[r]
+        p = top[r]
+        for i in range(r + 1, rows):
+            row = b[i]
+            x = row[r]
+            for j in range(r + 1, cols):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign * prev
 
-    s: int = None
-    d: int = None
-    h: int = None
-    m: int = None
-    a: int = None
-    b: int = None
-    hg: int = None
-    aprime: tuple = None
-    asecond: tuple = None
 
-    def __post_init__(self):
-        if self.a is not None and self.a < 1:
-            raise ValueError("a must be positive")
-        if self.b is not None and self.b < 1:
-            raise ValueError("b must be positive")
+def _chain(xs) -> list:
+    """Invariant factors of positive integers: same length and product, each
+    dividing the next.  Replacing every pair i < j, in order, by (gcd, lcm)
+    keeps each prime's multiset of exponents and leaves entry i dividing
+    every later one, so one pass suffices."""
+    xs = list(xs)
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            x, y = xs[i], xs[j]
+            if y % x:
+                g = gcd(x, y)
+                xs[i], xs[j] = g, x * y // g
+    return xs
 
 
 def smith_normal_form(m: IntMatrix) -> tuple:
@@ -125,34 +180,10 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     gcd(pivot, D), never-pivoted columns contribute a factor D.
     """
     rows, cols = m.rows, m.cols
-    b = [list(row) for row in m.entries]
-    prev = 1
-    r = 0
-    while r < min(rows, cols):
-        piv = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if b[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        b[r], b[i0] = b[i0], b[r]
-        if j0 != r:
-            for row in b:
-                row[r], row[j0] = row[j0], row[r]
-        for i in range(r + 1, rows):
-            for j in range(r + 1, cols):
-                b[i][j] = (b[i][j] * b[r][r] - b[i][r] * b[r][j]) // prev
-            b[i][r] = 0
-        prev = b[r][r]
-        r += 1
+    r, D = _bareiss(m.entries, cols)
     if r == 0:
         return ()
-    D = abs(prev)
+    D = abs(D)
     if D == 1:
         return (1,) * r
 
@@ -206,13 +237,7 @@ def smith_normal_form(m: IntMatrix) -> tuple:
         rr += 1
         cc += 1
     out.extend([D] * (cols - len(out)))
-    # enforce the divisibility chain; one pass in this order suffices
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            x, y = out[i], out[j]
-            g = gcd(x, y)
-            out[i], out[j] = g, x * y // g
-    return tuple(out[:r])
+    return tuple(_chain(out)[:r])
 
 
 def group_from_factors(rank: int, factors) -> AbelianGroup:
@@ -224,17 +249,7 @@ def group_from_factors(rank: int, factors) -> AbelianGroup:
             rank += 1
         elif f > 1:
             ds.append(f)
-    changed = True
-    while changed:
-        changed = False
-        ds.sort()
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-    return AbelianGroup(rank, tuple(d for d in ds if d > 1))
+    return AbelianGroup(rank, tuple(d for d in _chain(ds) if d > 1))
 
 
 def h1(p: Presentation) -> AbelianGroup:
@@ -257,7 +272,7 @@ def _single_exponent(spec: CoveringSpec):
     return None
 
 
-def even_alpha_params(alpha: int, n: int, k: int) -> ClosedFormParams:
+def even_alpha_params(alpha: int, n: int, k: int) -> EvenAlphaParams:
     """s, d, h, m, a, b for the covering M_{n,1,k} of b(alpha, 1)."""
     k %= n
     s = gcd(n, k)
@@ -270,7 +285,9 @@ def even_alpha_params(alpha: int, n: int, k: int) -> ClosedFormParams:
     b, rem = divmod(alpha * h, 2 * d)
     if rem:
         raise ValueError("alpha*h is not divisible by 2*d")
-    return ClosedFormParams(s=s, d=d, h=h, m=m, a=a, b=b)
+    if a < 1 or b < 1:
+        raise ValueError("a and b must be positive")
+    return EvenAlphaParams(s, d, h, m, a, b)
 
 
 def _even_alpha_group(alpha: int, n: int, k: int) -> AbelianGroup:
@@ -284,7 +301,7 @@ def _even_alpha_group(alpha: int, n: int, k: int) -> AbelianGroup:
     return group_from_factors(p.d + 1 - p.h - p.m, factors)
 
 
-def genus_one_params(alpha: int, n: int) -> ClosedFormParams:
+def genus_one_params(alpha: int, n: int) -> GenusOneParams:
     """Twist parameter and recurrence values for a genus-one knot."""
     hg = (1 - alpha) // 4 if alpha % 4 == 1 else (1 + alpha) // 4
     aprime = [0, 1, 1]
@@ -292,8 +309,7 @@ def genus_one_params(alpha: int, n: int) -> ClosedFormParams:
     for i in range(3, n + 1):
         aprime.append(aprime[i - 1] - hg * aprime[i - 2])
         asecond.append(asecond[i - 1] - hg * asecond[i - 2])
-    return ClosedFormParams(hg=hg, aprime=tuple(aprime[:n + 1]),
-                            asecond=tuple(asecond[:n + 1]))
+    return GenusOneParams(hg, tuple(aprime[:n + 1]), tuple(asecond[:n + 1]))
 
 
 def whitehead_factors(n: int) -> tuple:
@@ -319,8 +335,7 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
     coverings of genus-one knots; knots with alpha = 2n*beta +- 1; and the
     meridian-cyclic coverings of b(8,3) for n >= 3.  Returns None otherwise.
     """
-    if spec.nu != (1 if t.is_knot else 2):
-        raise ValueError("spec has %d exponents for %s" % (spec.nu, t))
+    _check_components(t, spec)
     n = spec.n
     if t.beta % t.alpha in (1, t.alpha - 1):
         if t.is_knot:
@@ -354,25 +369,9 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
 
 
 def _det(rows) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    a = [list(r) for r in rows]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if size else 1
+    """Exact integer determinant of a square matrix."""
+    rank, pivot = _bareiss(rows, len(rows))
+    return pivot if rank == len(rows) else 0
 
 
 def _sylvester(f: list, g: list) -> list:
@@ -419,10 +418,10 @@ def verify_consistency(t: TwoBridge, spec: CoveringSpec) -> dict:
     """Compute H_1 by every applicable route and compare.
 
     Returns a JSON-ready report with one record per route; disagreement
-    sets "agree" to False rather than raising.
+    sets "agree" to False rather than raising, and fewer than two routes to
+    compare set it to None.
     """
-    if spec.nu != (1 if t.is_knot else 2):
-        raise ValueError("spec has %d exponents for %s" % (spec.nu, t))
+    _check_components(t, spec)
     n = spec.n
     routes = []
 
@@ -465,15 +464,19 @@ def verify_consistency(t: TwoBridge, spec: CoveringSpec) -> dict:
     }
 
 
-def routes_agree(routes) -> bool:
+def routes_agree(routes):
     """True iff the group routes give one group and every order route gives
-    its order ("infinite" for positive rank)."""
+    its order ("infinite" for positive rank); None, for unverified, when
+    fewer than two routes give a group or an order to compare."""
     groups = [r["group"] for r in routes if "group" in r]
+    orders = [r["order"] for r in routes if "order" in r]
+    if len(groups) + len(orders) < 2:
+        return None
     if not groups:
-        return True
+        return all(o == orders[0] for o in orders)
     if any(g != groups[0] for g in groups[1:]):
         return False
     expected = AbelianGroup(groups[0]["rank"], tuple(groups[0]["torsion"])).order()
     if expected is None:
         expected = "infinite"
-    return all(r["order"] == expected for r in routes if "order" in r)
+    return all(o == expected for o in orders)

@@ -45,14 +45,6 @@ class Mu3Data:
             raise ValueError("exponents must be +-1")
 
 
-@dataclass
-class TakahashiState:
-    """The words d_{k,j}, b_{k,j} of the twist recurrence, keyed by (k, j)."""
-
-    d_words: dict
-    b_words: dict
-
-
 def _check_degree(n: int) -> None:
     if n <= 0:
         raise ValueError("covering degree must be positive, got %d" % n)
@@ -172,7 +164,9 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
 
 # ---- Takahashi presentation ----
 
-def takahashi_state(form: EvenConwayForm, n: int) -> TakahashiState:
+def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
+    """G_n(w) with w = b_{i+1,m}^{-s_m} d_{i+1,m} b_{i,m}^{s_m} at i = 1, where
+    the words d_{k,j}, b_{k,j} (keyed by (k, j)) follow the twist recurrence."""
     if len(form.s) != form.m:
         raise NotAKnot("even form lacks the final twist parameter")
     _check_degree(n)
@@ -191,18 +185,11 @@ def takahashi_state(form: EvenConwayForm, n: int) -> TakahashiState:
         for kk in range(1, n + 1):
             k1 = kk % n + 1
             b[(kk, j)] = d[(kk, j)] ** q[j - 1] * b[(kk, j - 1)] * d[(k1, j)] ** (-q[j - 1])
-    return TakahashiState(d, b)
-
-
-def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
-    """G_n(w) with w = b_{i+1,m}^{-s_m} d_{i+1,m} b_{i,m}^{s_m} at i = 1."""
-    st = takahashi_state(form, n)
     m = form.m
     i = 1
     i1 = i % n + 1
-    sm = form.s[m - 1]
-    w = st.b_words[(i1, m)] ** (-sm) * st.d_words[(i1, m)] * st.b_words[(i, m)] ** sm
-    return CyclicPresentation(n, w)
+    sm = s[m - 1]
+    return CyclicPresentation(n, b[(i1, m)] ** (-sm) * d[(i1, m)] * b[(i, m)] ** sm)
 
 
 # ---- polynomials ----

@@ -30,10 +30,6 @@ class NoEvenRepresentative(ValueError):
     pass
 
 
-# exact rationals; no floats anywhere
-Rational = Fraction
-
-
 @dataclass(frozen=True)
 class TwoBridge:
     """b(alpha, beta) with beta stored as the representative in [1, 2*alpha-1]."""

@@ -86,12 +86,6 @@ def word(*letters) -> FreeWord:
     return FreeWord(tuple(letters))
 
 
-def free_reduce(w: FreeWord) -> FreeWord:
-    """Identity on stored words (reduction happens at construction); kept
-    explicit so callers can state intent."""
-    return FreeWord(w.letters)
-
-
 _SYLLABLE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 

@@ -12,7 +12,7 @@ from math import gcd
 
 from bridgecovers.covering import CoveringSpec, geometry
 from bridgecovers.decomposition import build_monodromy, component_orbit_counts, decompose
-from bridgecovers.gems import (CYCLIC_ORDERS, GLMParams, LMParams, OutOfRange,
+from bridgecovers.gems import (CYCLIC_ORDERS, LMParams, OutOfRange,
                                build_generalized, build_lins_mandel, gem_closed_form,
                                graph_isomorphic, heegaard_genus, is_crystallization,
                                is_gem, lm_isomorphic_closed_form)
@@ -175,7 +175,7 @@ def test_gem_and_crystallization_sweep():
                     for cp in range(n):
                         if gcd(n, gcd(c, cp)) != 1:
                             continue
-                        params = GLMParams(n, p, q, c, cp)
+                        params = LMParams(n, p, q, c, cp)
                         g = build_generalized(params)
                         gem = is_gem(g)
                         assert gem == gem_closed_form(params), params

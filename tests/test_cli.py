@@ -86,6 +86,17 @@ def test_gem_crystallization_record(capsys):
     assert rec["genus"]["min"] == 4
 
 
+def test_gem_labels(capsys):
+    # c' is shown only when given; q, c and c' are shown reduced
+    for argv, label in ((("5", "8", "3", "3"), "G(5, 8, 3, 3)"),
+                        (("5", "8", "3", "3", "1"), "G(5, 8, 3, 3, 1)"),
+                        (("5", "8", "19", "8", "6"), "G(5, 8, 3, 3, 1)")):
+        code, rec = run_json(capsys, "gem", *argv, "--format", "json")
+        assert code == 0 and rec["graph"] == label
+        code, out, _ = run(capsys, "gem", *argv)
+        assert out.splitlines()[0] == "%s: 80 vertices" % label
+
+
 def test_polyhedral_record(capsys):
     code, rec = run_json(capsys, "polyhedral", "3", "1", "5", "3", "--format", "json")
     assert code == 0
@@ -110,11 +121,30 @@ def test_verify_sweep(capsys):
     code, rec = run_json(capsys, "verify", "--sweep", "6", "4", "--format", "json")
     assert code == 0
     assert rec["ok"] is True and rec["mismatches"] == []
-    assert rec["checked"] > 0
+    assert rec["checked"] > 0 and rec["unverified"] == 0
     again_code, again = run_json(capsys, "verify", "--sweep", "6", "4", "--format", "json")
     assert again == rec
     code, out, _ = run(capsys, "verify", "--sweep", "6", "4")
     assert out.splitlines()[-1] == "mismatches: 0"
+    assert "unverified: 0" in out.splitlines()
+
+
+def test_verify_counts_unverified(capsys, monkeypatch):
+    from bridgecovers import cli
+
+    real = cli.verify_consistency
+
+    def knots_unverified(t, spec):
+        report = real(t, spec)
+        if t.is_knot:
+            report["routes"] = report["routes"][:1]
+            report["agree"] = None
+        return report
+
+    monkeypatch.setattr(cli, "verify_consistency", knots_unverified)
+    code, rec = run_json(capsys, "verify", "--sweep", "6", "4", "--format", "json")
+    assert code == 0 and rec["ok"] is True and rec["mismatches"] == []
+    assert 0 < rec["unverified"] < rec["checked"]
 
 
 def test_argument_errors_exit_2(capsys):
@@ -155,6 +185,16 @@ def test_homology_route_filter(capsys):
                          "--routes", "minkus,resultant", "--format", "json")
     assert code == 0
     assert [r["route"] for r in rec["routes"]] == ["minkus", "resultant"]
+
+
+def test_homology_no_comparable_route_is_unverified(capsys):
+    # mu3 presents links only, so no route of this knot is kept
+    code, out, _ = run(capsys, "homology", "5", "3", "3", "--routes", "mu3")
+    assert code == 0
+    assert out.splitlines() == ["b(5,3), degree 3, exponents [1]", "agree: unverified"]
+    code, rec = run_json(capsys, "homology", "5", "3", "3", "--routes", "mu3",
+                         "--format", "json")
+    assert code == 0 and rec["routes"] == [] and rec["agree"] is None
 
 
 def test_homology_unknown_route_exits_2(capsys):
@@ -206,9 +246,10 @@ def test_homology_filtered_order_route_is_checked(capsys, monkeypatch):
     code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
                          "--routes", "polyhedral,resultant")
     assert code == 1 and rec["agree"] is False
+    # one route left: nothing to compare against, so unverified, not agreeing
     code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
                          "--routes", "polyhedral")
-    assert code == 0 and rec["agree"] is True
+    assert code == 0 and rec["agree"] is None
 
 
 def test_present_minkus_rejects_link_exponent(capsys):

@@ -35,12 +35,12 @@ def test_spec_validation():
 
 def test_classify():
     cls = classify(CoveringSpec(5, (1, 2)))
-    assert cls.meridian and cls.singly and cls.monodromy
+    assert cls.meridian and cls.singly
     assert not cls.almost_strictly and not cls.strictly
     cls = classify(CoveringSpec(4, (1, 2)))
     assert cls.singly and not cls.meridian
     cls = classify(CoveringSpec(7, (3,)))
-    assert cls.strictly and cls.almost_strictly and cls.meridian and cls.singly and cls.monodromy
+    assert cls.strictly and cls.almost_strictly and cls.meridian and cls.singly
 
 
 def test_classify_chain():
@@ -51,8 +51,7 @@ def test_classify_chain():
                 if gcd(n, gcd(k1, k2)) != 1:
                     continue
                 cls = classify(CoveringSpec(n, (k1, k2)))
-                chain = (cls.strictly, cls.almost_strictly, cls.meridian,
-                         cls.singly, cls.monodromy)
+                chain = (cls.strictly, cls.almost_strictly, cls.meridian, cls.singly)
                 for a, b in zip(chain, chain[1:]):
                     assert (not a) or b
                 assert cls.strictly == (k1 == k2)

@@ -69,7 +69,6 @@ def test_degree_law():
                 result = decompose(t, n, k)
                 assert result.upper_degree * result.lower_degree == n
                 assert result.base_indices == (n, result.upper_degree)
-                assert result.intermediate.source_alpha == t.alpha
 
 
 def test_build_monodromy():

@@ -9,7 +9,6 @@ from bridgecovers.gems import (
     CYCLIC_ORDERS,
     ColouredGraph,
     DegenerateInvolution,
-    GLMParams,
     LMParams,
     NotAGem,
     OutOfRange,
@@ -17,7 +16,6 @@ from bridgecovers.gems import (
     bicoloured_cycles,
     build_generalized,
     build_lins_mandel,
-    dunwoody_params,
     eta,
     gem_closed_form,
     graph_isomorphic,
@@ -67,10 +65,15 @@ def test_build_basic():
 
 
 def test_generalized_extends():
-    for params in ((3, 5, 3, 2), (4, 4, 1, 3), (5, 2, 1, 2)):
+    for params in ((3, 5, 3, 2), (4, 4, 1, 3), (5, 2, 1, 2), (1, 3, 1, 0)):
+        assert LMParams(*params) == LMParams(*params, 1)
         lm = build_lins_mandel(LMParams(*params))
-        glm = build_generalized(GLMParams(*params, cprime=1))
+        glm = build_generalized(LMParams(*params, cprime=1))
         assert lm.involutions == glm.involutions
+    # the two builders are one construction: they agree for every c'
+    for cp in range(5):
+        params = LMParams(5, 3, 2, 1, cp)
+        assert build_lins_mandel(params).involutions == build_generalized(params).involutions
 
 
 def test_degenerate_involution():
@@ -98,7 +101,7 @@ def test_is_gem():
 def test_gem_closed_form():
     assert gem_closed_form(LMParams(3, 5, 3, 2))
     assert gem_closed_form(LMParams(4, 6, 1, 3))
-    assert not gem_closed_form(GLMParams(3, 5, 3, 1, 1))
+    assert not gem_closed_form(LMParams(3, 5, 3, 1, 1))
 
 
 def test_gem_criterion_sweep():
@@ -111,7 +114,7 @@ def test_gem_criterion_sweep():
                     for cp in range(n):
                         if gcd(n, gcd(c, cp)) != 1:
                             continue
-                        params = GLMParams(n, p, q, c, cp)
+                        params = LMParams(n, p, q, c, cp)
                         g = build_generalized(params)
                         assert is_gem(g) == gem_closed_form(params), params
 
@@ -128,14 +131,14 @@ def test_represented_covering():
     t, spec = represented_covering(LMParams(3, 5, 3, 2))
     assert t == normalize(5, 3)
     assert spec == CoveringSpec(3, (1,))
-    t, spec = represented_covering(GLMParams(5, 8, 3, 3, 1))
+    t, spec = represented_covering(LMParams(5, 8, 3, 3, 1))
     assert t == normalize(8, 3)
     assert spec == CoveringSpec(5, (1, 2))
-    assert represented_covering(GLMParams(4, 5, 3, 0, 1)) is SPHERE
-    assert represented_covering(GLMParams(3, 5, 3, 1, 0)) is SPHERE
+    assert represented_covering(LMParams(4, 5, 3, 0, 1)) is SPHERE
+    assert represented_covering(LMParams(3, 5, 3, 1, 0)) is SPHERE
     assert represented_covering(LMParams(4, 1, 1, 3)) is SPHERE  # p = 1 gem: 3 = (-1)^q mod 4
     with pytest.raises(NotAManifold):
-        represented_covering(GLMParams(3, 5, 3, 1, 1))
+        represented_covering(LMParams(3, 5, 3, 1, 1))
 
 
 def test_lens_graphs():
@@ -163,12 +166,18 @@ def test_lm_isomorphic_closed_form():
         lm_isomorphic_closed_form(LMParams(2, 4, 1, 1), LMParams(2, 4, 1, 1))
     with pytest.raises(OutOfRange):
         lm_isomorphic_closed_form(LMParams(3, 5, 3, 1), LMParams(3, 5, 3, 1))
+    # the conditions are stated for c' = 1 only
+    for cp in (0, 2):
+        with pytest.raises(OutOfRange):
+            lm_isomorphic_closed_form(LMParams(3, 4, 1, 1, cp), LMParams(3, 4, 1, 1))
+        with pytest.raises(OutOfRange):
+            lm_isomorphic_closed_form(LMParams(3, 4, 1, 1), LMParams(3, 4, 1, 1, cp))
 
 
 def test_heegaard_genus():
     for order in CYCLIC_ORDERS:
         assert heegaard_genus(TWO_VERTEX, order) == 0
-    g = build_generalized(GLMParams(5, 8, 3, 3, 1))
+    g = build_generalized(LMParams(5, 8, 3, 3, 1))
     assert heegaard_genus(g, (0, 2, 1, 3)) == 4
     g = build_lins_mandel(LMParams(3, 5, 3, 2))
     assert heegaard_genus(g, (0, 2, 1, 3)) == 2
@@ -180,17 +189,6 @@ def test_bipartite():
     for params in lm_sweep(4, 4):
         assert is_bipartite(build_lins_mandel(params))
     assert is_bipartite(TWO_VERTEX)
-
-
-def test_dunwoody():
-    params, t = dunwoody_params(2, 1, 3)
-    assert t == normalize(5, 2)
-    assert params.s is None
-    assert (params.a, params.b, params.c, params.n, params.r) == (2, 0, 1, 3, 1)
-    _, t = dunwoody_params(1, 1, 5)
-    assert t == normalize(3, 2)
-    with pytest.raises(ValueError):
-        dunwoody_params(0, 1, 3)
 
 
 def test_serialize_roundtrip():

@@ -3,17 +3,20 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgecovers.covering import CoveringSpec
 from bridgecovers.homology import (
     AbelianGroup,
     IntMatrix,
+    _det,
     even_alpha_params,
     genus_one_params,
     group_from_factors,
     h1,
     h1_closed_form,
     order_via_resultant,
+    routes_agree,
     smith_normal_form,
     verify_consistency,
     whitehead_factors,
@@ -27,26 +30,26 @@ from bridgecovers.two_bridge import normalize
 from bridgecovers.words import LaurentPolynomial
 
 
+def laplace_det(sub):
+    """Independent oracle: determinant by expansion along the first row."""
+    if not sub:
+        return 1
+    out = 0
+    for j in range(len(sub)):
+        minor = [row[:j] + row[j + 1:] for row in sub[1:]]
+        out += (-1) ** j * sub[0][j] * laplace_det(minor)
+    return out
+
+
 def minors_gcd_factors(entries, rows, cols):
     """Independent oracle: d_k = gcd of all k x k minors; factors d_k/d_{k-1}."""
-
-    def det(sub):
-        size = len(sub)
-        if size == 1:
-            return sub[0][0]
-        out = 0
-        for j in range(size):
-            minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-            out += (-1) ** j * sub[0][j] * det(minor)
-        return out
-
     factors = []
     prev = 1
     for k in range(1, min(rows, cols) + 1):
         g = 0
         for ris in combinations(range(rows), k):
             for cis in combinations(range(cols), k):
-                g = gcd(g, det([[entries[i][j] for j in cis] for i in ris]))
+                g = gcd(g, laplace_det([[entries[i][j] for j in cis] for i in ris]))
         if g == 0:
             break
         factors.append(g // prev)
@@ -87,6 +90,69 @@ def test_smith_invariance():
         transposed = [list(row) for row in zip(*entries)]
         if transposed:
             assert smith_normal_form(IntMatrix.from_rows(transposed, cols=rows)) == base
+
+
+square_matrices = st.integers(0, 5).flatmap(
+    lambda size: st.lists(st.lists(st.integers(-9, 9), min_size=size, max_size=size),
+                          min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_det_against_laplace(entries):
+    assert _det(entries) == laplace_det(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_smith_product_is_abs_det(entries):
+    det = laplace_det(entries)
+    if not entries or det == 0:
+        return
+    product = 1
+    for d in smith_normal_form(IntMatrix.from_rows(entries)):
+        product *= d
+    assert product == abs(det)
+
+
+def prime_powers(x):
+    """Prime-power factors of x > 1 by trial division, e.g. 12 -> [3, 4]."""
+    out = []
+    p = 2
+    while p * p <= x:
+        if x % p == 0:
+            q = 1
+            while x % p == 0:
+                x //= p
+                q *= p
+            out.append(q)
+        p += 1
+    if x > 1:
+        out.append(x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(-400, 400), max_size=8))
+def test_group_from_factors_keeps_elementary_divisors(rank, factors):
+    g = group_from_factors(rank, factors)
+    assert g.rank == rank + factors.count(0)
+    want = sorted(q for f in factors if abs(f) > 1 for q in prime_powers(abs(f)))
+    assert sorted(q for d in g.torsion for q in prime_powers(d)) == want
+
+
+def test_routes_agree_verdicts():
+    group = {"rank": 0, "torsion": [4, 4]}
+    assert routes_agree([]) is None
+    assert routes_agree([{"route": "minkus", "group": group}]) is None
+    assert routes_agree([{"route": "resultant", "order": 16}]) is None
+    assert routes_agree([{"route": "minkus", "group": group},
+                         {"route": "resultant", "order": 16}]) is True
+    assert routes_agree([{"route": "minkus", "group": group},
+                         {"route": "resultant", "order": 15}]) is False
+    # no route applies to this covering: unverified, not agreeing
+    report = verify_consistency(normalize(8, 3), CoveringSpec(6, (2, 3)))
+    assert report["routes"] == [] and report["agree"] is None
 
 
 def test_abelian_group():

@@ -17,7 +17,7 @@ from .decomposition import decompose
 from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, NonIntegerGenus,
                    build_generalized, gem_closed_form, heegaard_genus,
                    is_crystallization, is_gem, represented_covering)
-from .homology import ROUTES, AbelianGroup, routes_agree, verify_consistency
+from .homology import ROUTES, AbelianGroup, verify_consistency
 from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
 from .presentations import minkus_presentation, mu3_presentation, takahashi_word
 from .two_bridge import (NoEvenRepresentative, cf_expand, even_cf_expand,
@@ -106,20 +106,9 @@ def cmd_present(args):
 
 def cmd_homology(args):
     t = normalize(args.alpha, args.beta)
-    if t.is_knot:
-        spec = CoveringSpec(args.n, (args.k,))
-    else:
-        spec = CoveringSpec(args.n, (1, args.k))
-    if args.routes != "all":
-        wanted = set(args.routes.split(","))
-        unknown = sorted(wanted - set(ROUTES))
-        if unknown:
-            raise ValueError("unknown route %s; valid routes: %s"
-                             % (", ".join(map(repr, unknown)), ", ".join(ROUTES)))
-    report = verify_consistency(t, spec)
-    if args.routes != "all":
-        report["routes"] = [r for r in report["routes"] if r["route"] in wanted]
-        report["agree"] = routes_agree(report["routes"])
+    spec = CoveringSpec(args.n, (args.k,) if t.is_knot else (1, args.k))
+    names = ROUTES if args.routes == "all" else args.routes.split(",")
+    report = verify_consistency(t, spec, names)
     lines = ["%s, degree %d, exponents %s" % (t, spec.n, list(spec.exponents))]
     for rec in report["routes"]:
         if "group" in rec:

@@ -50,6 +50,17 @@ class CoveringSpec:
     def nu(self) -> int:
         return len(self.exponents)
 
+    @property
+    def single(self):
+        """k of the normal form (n; 1, k): a knot's own exponent, or a link's
+        other exponent over its first unit mod n; None if neither is a unit."""
+        if self.nu == 1:
+            return self.exponents[0]
+        for a, b in (self.exponents, self.exponents[::-1]):
+            if gcd(self.n, a) == 1:
+                return pow(a, -1, self.n) * b % self.n
+        return None
+
 
 @dataclass(frozen=True)
 class CoveringClass:
@@ -210,9 +221,8 @@ def lens_recognize(t: TwoBridge, spec: CoveringSpec):
     if spec.n == 2:
         return (t.alpha, t.beta % t.alpha)
     if t.alpha == 2:
-        k1, k2 = spec.exponents
-        if gcd(spec.n, k1) == 1:
-            k = (pow(k1, -1, spec.n) * k2) % spec.n
-            if gcd(spec.n, k) == 1:
-                return (spec.n, k)
+        k = spec.single
+        # k is a unit exactly when both exponents are
+        if k is not None and gcd(spec.n, k) == 1:
+            return (spec.n, k)
     return None

@@ -260,18 +260,6 @@ def h1(p: Presentation) -> AbelianGroup:
                         tuple(d for d in factors if d > 1))
 
 
-def _single_exponent(spec: CoveringSpec):
-    # reduce a two-exponent spec to the (1, k) normal form when possible
-    if spec.nu == 1:
-        return spec.exponents[0]
-    k1, k2 = spec.exponents
-    if gcd(spec.n, k1) == 1:
-        return pow(k1, -1, spec.n) * k2 % spec.n
-    if gcd(spec.n, k2) == 1:
-        return pow(k2, -1, spec.n) * k1 % spec.n
-    return None
-
-
 def even_alpha_params(alpha: int, n: int, k: int) -> EvenAlphaParams:
     """s, d, h, m, a, b for the covering M_{n,1,k} of b(alpha, 1)."""
     k %= n
@@ -343,7 +331,7 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
             if n % 2:
                 return group_from_factors(0, [2] * (d - 1))
             return group_from_factors(d - 1, [t.alpha // d])
-        k = _single_exponent(spec)
+        k = spec.single
         if k is None:
             return None
         if t.beta in (t.alpha - 1, t.alpha + 1):
@@ -362,7 +350,7 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
                 if n % 2 == 0:
                     return group_from_factors(0, [t.alpha])
                 return AbelianGroup(0, ())
-    if t.is_link and _is_whitehead(t) and n >= 3:
+    if _is_whitehead(t) and n >= 3:
         if all(gcd(n, k) == 1 for k in spec.exponents):
             return group_from_factors(0, whitehead_factors(n))
     return None
@@ -397,7 +385,26 @@ def order_via_resultant(delta: LaurentPolynomial, n: int):
     return val if val else "infinite"
 
 
-def _poly_schema(t: TwoBridge, n: int, k: int):
+def _minkus(t, spec):
+    if t.is_knot or len(set(spec.exponents)) == 1:
+        return {"group": h1(minkus_presentation(t, spec.n)).to_json()}
+
+
+def _mu3(t, spec):
+    k = spec.single
+    if t.is_link and k is not None:
+        return {"group": h1(mu3_presentation(t, spec.n, k)).to_json()}
+
+
+def _takahashi(t, spec):
+    if t.is_knot:
+        return {"group": h1(takahashi_word(even_cf_expand(t), spec.n).expand()).to_json()}
+
+
+def _polyhedral(t, spec):
+    n, k = spec.n, spec.single
+    if k is None:
+        return None
     # the schema wants 0 < q < alpha odd; mirror odd-alpha data onto the odd
     # representative, and negate k when dropping a link's beta to beta - alpha
     # (reorienting one component flips its branching exponent)
@@ -407,57 +414,61 @@ def _poly_schema(t: TwoBridge, n: int, k: int):
             q = t.alpha - q
     elif t.beta > t.alpha:
         k = -k % n
-    return build_minkus(n, k, t.alpha, q)
+    return {"group": h1(schema_presentation(build_minkus(n, k, t.alpha, q))).to_json()}
 
 
-# every route name verify_consistency can report, in report order
-ROUTES = ("minkus", "mu3", "takahashi", "polyhedral", "closed_form", "lens", "resultant")
-
-
-def verify_consistency(t: TwoBridge, spec: CoveringSpec) -> dict:
-    """Compute H_1 by every applicable route and compare.
-
-    Returns a JSON-ready report with one record per route; disagreement
-    sets "agree" to False rather than raising, and fewer than two routes to
-    compare set it to None.
-    """
-    _check_components(t, spec)
-    n = spec.n
-    routes = []
-
-    def add(name, group, **extra):
-        rec = {"route": name, "group": group.to_json()}
-        rec.update(extra)
-        routes.append(rec)
-
-    if t.is_knot or len(set(spec.exponents)) == 1:
-        add("minkus", h1(minkus_presentation(t, n)))
-    single = None if t.is_knot else _single_exponent(spec)
-    if single is not None:
-        add("mu3", h1(mu3_presentation(t, n, single)))
-    if t.is_knot:
-        add("takahashi", h1(takahashi_word(even_cf_expand(t), n).expand()))
-    schema_k = spec.exponents[0] if t.is_knot else single
-    if schema_k is not None:
-        schema = _poly_schema(t, n, schema_k)
-        add("polyhedral", h1(schema_presentation(schema)))
+def _closed_form(t, spec):
     closed = h1_closed_form(t, spec)
-    if closed is not None:
-        if t.is_link and _is_whitehead(t) and n >= 3:
-            add("closed_form", closed, raw_factors=list(whitehead_factors(n)))
-        else:
-            add("closed_form", closed)
+    if closed is None:
+        return None
+    rec = {"group": closed.to_json()}
+    if _is_whitehead(t) and spec.n >= 3:
+        rec["raw_factors"] = list(whitehead_factors(spec.n))
+    return rec
+
+
+def _lens(t, spec):
     lens = lens_recognize(t, spec)
     if lens is not None:
-        add("lens", group_from_factors(0, [lens[0]]))
+        return {"group": group_from_factors(0, [lens[0]]).to_json()}
+
+
+def _resultant(t, spec):
     if t.is_knot:
-        routes.append({"route": "resultant",
-                       "order": order_via_resultant(alexander_polynomial(t), n)})
+        return {"order": order_via_resultant(alexander_polynomial(t), spec.n)}
+
+
+# every route verify_consistency can report, in report order; each maps
+# (t, spec) to its record, or to None when it does not apply, and calls the
+# public functions through this module's globals so that rebinding reaches it
+ROUTES = {"minkus": _minkus, "mu3": _mu3, "takahashi": _takahashi,
+          "polyhedral": _polyhedral, "closed_form": _closed_form,
+          "lens": _lens, "resultant": _resultant}
+
+
+def verify_consistency(t: TwoBridge, spec: CoveringSpec, names=ROUTES) -> dict:
+    """Compute H_1 by each named route that applies, and compare.
+
+    Returns a JSON-ready report with one record per route, in ROUTES order;
+    disagreement sets "agree" to False rather than raising, and fewer than
+    two routes to compare set it to None.  An unknown name is a ValueError.
+    """
+    unknown = sorted(set(names) - set(ROUTES))
+    if unknown:
+        raise ValueError("unknown route %s; valid routes: %s"
+                         % (", ".join(map(repr, unknown)), ", ".join(ROUTES)))
+    _check_components(t, spec)
+    routes = []
+    for name, route in ROUTES.items():
+        if name in names:
+            rec = route(t, spec)
+            if rec is not None:
+                routes.append({"route": name, **rec})
     return {
         "link": str(t),
         "alpha": t.alpha,
         "beta": t.beta,
-        "degree": n,
+        "degree": spec.n,
         "exponents": list(spec.exponents),
         "routes": routes,
         "agree": routes_agree(routes),

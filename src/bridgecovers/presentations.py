@@ -165,31 +165,22 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
 # ---- Takahashi presentation ----
 
 def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
-    """G_n(w) with w = b_{i+1,m}^{-s_m} d_{i+1,m} b_{i,m}^{s_m} at i = 1, where
-    the words d_{k,j}, b_{k,j} (keyed by (k, j)) follow the twist recurrence."""
+    """G_n(w) with w = b_{2,m}^{-s_m} d_{2,m} b_{1,m}^{s_m}, where d_{i,1} = x_i,
+    b_{i,1} = x_i^{q_1} x_{i+1}^{-q_1}, and for j > 1 (indices i mod n)
+    d_{i,j} = b_{i,j-1}^{-s_{j-1}} d_{i,j-1} b_{i-1,j-1}^{s_{j-1}} and
+    b_{i,j} = d_{i,j}^{q_j} b_{i,j-1} d_{i+1,j}^{-q_j}.  The recurrence
+    commutes with the index shift, so only i = 1 is built."""
     if len(form.s) != form.m:
         raise NotAKnot("even form lacks the final twist parameter")
     _check_degree(n)
     q, s = form.q, form.s
-    d = {}
-    b = {}
-    for kk in range(1, n + 1):
-        d[(kk, 1)] = word((kk, 1))
-    for kk in range(1, n + 1):
-        k1 = kk % n + 1
-        b[(kk, 1)] = d[(kk, 1)] ** q[0] * d[(k1, 1)] ** (-q[0])
-    for j in range(2, form.m + 1):
-        for kk in range(1, n + 1):
-            km1 = (kk - 2) % n + 1
-            d[(kk, j)] = b[(kk, j - 1)] ** (-s[j - 2]) * d[(kk, j - 1)] * b[(km1, j - 1)] ** s[j - 2]
-        for kk in range(1, n + 1):
-            k1 = kk % n + 1
-            b[(kk, j)] = d[(kk, j)] ** q[j - 1] * b[(kk, j - 1)] * d[(k1, j)] ** (-q[j - 1])
-    m = form.m
-    i = 1
-    i1 = i % n + 1
-    sm = s[m - 1]
-    return CyclicPresentation(n, b[(i1, m)] ** (-sm) * d[(i1, m)] * b[(i, m)] ** sm)
+    d = word((1, 1))
+    b = d ** q[0] * d.shift(1, n) ** (-q[0])
+    for j in range(1, form.m):
+        d = b ** (-s[j - 1]) * d * b.shift(-1, n) ** s[j - 1]
+        b = d ** q[j] * b * d.shift(1, n) ** (-q[j])
+    sm = s[form.m - 1]
+    return CyclicPresentation(n, b.shift(1, n) ** (-sm) * d.shift(1, n) * b ** sm)
 
 
 # ---- polynomials ----

@@ -44,9 +44,6 @@ class FreeWord:
             out[(i - 1) % n] += e
         return out
 
-    def syllable_length(self) -> int:
-        return len(self.letters)
-
     def letter_length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 

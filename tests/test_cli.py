@@ -209,18 +209,42 @@ def test_homology_unknown_route_exits_2(capsys):
     assert code == 2 and "'bogus'" in err
 
 
+def test_homology_computes_only_kept_routes(capsys, monkeypatch):
+    from bridgecovers import homology
+
+    real_h1 = homology.h1
+    presented = []
+
+    def counting_h1(p):
+        presented.append(p)
+        return real_h1(p)
+
+    monkeypatch.setattr(homology, "h1", counting_h1)
+    argv = ("homology", "5", "3", "3", "--format", "json")
+    code, rec = run_json(capsys, *argv)
+    # minkus, takahashi and polyhedral abelianize a presentation
+    assert code == 0 and len(presented) == 3
+    presented.clear()
+    code, rec = run_json(capsys, *argv, "--routes", "closed_form,resultant")
+    assert code == 0 and rec["agree"] is True
+    assert [r["route"] for r in rec["routes"]] == ["closed_form", "resultant"]
+    assert presented == []
+
+    def never(t, spec):
+        raise AssertionError("a route that was not kept ran")
+
+    monkeypatch.setitem(homology.ROUTES, "minkus", never)
+    code, rec = run_json(capsys, *argv, "--routes", "closed_form,resultant")
+    assert code == 0 and rec["agree"] is True
+
+
 def test_homology_agree_is_computed_after_filtering(capsys, monkeypatch):
-    from bridgecovers import cli
+    from bridgecovers import homology
 
-    real = cli.verify_consistency
+    def wrong_lens(t, spec):
+        return {"group": {"rank": 0, "torsion": [3]}}
 
-    def with_a_wrong_route(t, spec):
-        report = real(t, spec)
-        report["routes"].insert(0, {"route": "lens", "group": {"rank": 0, "torsion": [3]}})
-        report["agree"] = False
-        return report
-
-    monkeypatch.setattr(cli, "verify_consistency", with_a_wrong_route)
+    monkeypatch.setitem(homology.ROUTES, "lens", wrong_lens)
     code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json")
     assert code == 1 and rec["agree"] is False
     code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
@@ -233,16 +257,12 @@ def test_homology_agree_is_computed_after_filtering(capsys, monkeypatch):
 
 
 def test_homology_filtered_order_route_is_checked(capsys, monkeypatch):
-    from bridgecovers import cli
-
-    real = cli.verify_consistency
+    from bridgecovers import homology
 
     def wrong_order(t, spec):
-        report = real(t, spec)
-        report["routes"][-1] = {"route": "resultant", "order": 15}
-        return report
+        return {"order": 15}
 
-    monkeypatch.setattr(cli, "verify_consistency", wrong_order)
+    monkeypatch.setitem(homology.ROUTES, "resultant", wrong_order)
     code, rec = run_json(capsys, "homology", "5", "3", "3", "--format", "json",
                          "--routes", "polyhedral,resultant")
     assert code == 1 and rec["agree"] is False

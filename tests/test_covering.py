@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bridgecovers.covering import (
     BadNormalForm,
@@ -118,3 +119,23 @@ def test_lens_recognize():
     assert lens_recognize(normalize(7, 3), CoveringSpec(2, (1,))) == (7, 3)
     assert lens_recognize(normalize(2, 1), CoveringSpec(5, (1, 2))) == (5, 2)
     assert lens_recognize(normalize(8, 3), CoveringSpec(5, (1, 2))) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n - 1), st.integers(1, n - 1))))
+def test_single_against_unit_search(case):
+    n, k1, k2 = case
+    assume(gcd(n, k1, k2) == 1)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    # (k1, k2) ~ (u k1, u k2) for a unit u; failing that, swap the exponents
+    want = next((u * k2 % n for u in units if u * k1 % n == 1), None)
+    if want is None:
+        want = next((u * k1 % n for u in units if u * k2 % n == 1), None)
+    spec = CoveringSpec(n, (k1, k2))
+    assert spec.single == want
+    # a lens space of the Hopf link needs k to be a unit
+    both_units = gcd(n, k1) == 1 and gcd(n, k2) == 1
+    assert (want is not None and gcd(n, want) == 1) == both_units
+    if gcd(n, k1) == 1:
+        assert CoveringSpec(n, (k1,)).single == k1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bridgecovers.covering import CoveringSpec
 from bridgecovers.homology import (
+    ROUTES,
     AbelianGroup,
     IntMatrix,
     _det,
@@ -282,3 +283,36 @@ def test_verify_consistency():
     assert "mu3" in names and "lens" in names
     for rec in report["routes"]:
         assert rec["group"] == {"rank": 0, "torsion": [7]}
+
+
+def test_verify_consistency_runs_named_routes():
+    t, spec = normalize(5, 3), CoveringSpec(3, (1,))
+    report = verify_consistency(t, spec, ["resultant", "minkus"])
+    assert [r["route"] for r in report["routes"]] == ["minkus", "resultant"]
+    assert report["agree"] is True
+    assert verify_consistency(t, spec, [])["agree"] is None
+    assert list(ROUTES) == ["minkus", "mu3", "takahashi", "polyhedral",
+                            "closed_form", "lens", "resultant"]
+    with pytest.raises(ValueError, match="unknown route 'bogus'; valid routes: minkus, mu3"):
+        verify_consistency(t, spec, ["minkus", "bogus"])
+
+
+@st.composite
+def coverings(draw):
+    """A 2-bridge knot or link with alpha <= 40 and a covering of degree
+    n <= 12; a link gets any two exponents that generate Z_n."""
+    alpha = draw(st.integers(2, 40))
+    beta = draw(st.integers(1, 2 * alpha - 1).filter(lambda b: gcd(alpha, b) == 1))
+    t = normalize(alpha, beta)
+    n = draw(st.integers(2, 12))
+    k = st.integers(1, n - 1)
+    exponents = draw((st.tuples(k) if t.is_knot else st.tuples(k, k))
+                     .filter(lambda ks: gcd(n, *ks) == 1))
+    return t, CoveringSpec(n, exponents)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverings())
+def test_routes_never_disagree(case):
+    t, spec = case
+    assert verify_consistency(t, spec)["agree"] is not False

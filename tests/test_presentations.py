@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers.presentations import (
@@ -170,3 +171,37 @@ def test_degree_must_be_positive():
     # degree 1 is the trivial covering and stays accepted
     assert minkus_presentation(knot, 1).generator_count == 1
     assert takahashi_word(even_cf_expand(knot), 1).n == 1
+
+
+def takahashi_reference(form, n):
+    """Independent oracle: the twist recurrence over every index 1..n, kept
+    in a dict keyed by (index, level), then w read off at i = 1."""
+    q, s = form.q, form.s
+    d = {}
+    b = {}
+    for kk in range(1, n + 1):
+        d[(kk, 1)] = word((kk, 1))
+    for kk in range(1, n + 1):
+        k1 = kk % n + 1
+        b[(kk, 1)] = d[(kk, 1)] ** q[0] * d[(k1, 1)] ** (-q[0])
+    for j in range(2, form.m + 1):
+        for kk in range(1, n + 1):
+            km1 = (kk - 2) % n + 1
+            d[(kk, j)] = b[(kk, j - 1)] ** (-s[j - 2]) * d[(kk, j - 1)] * b[(km1, j - 1)] ** s[j - 2]
+        for kk in range(1, n + 1):
+            k1 = kk % n + 1
+            b[(kk, j)] = d[(kk, j)] ** q[j - 1] * b[(kk, j - 1)] * d[(k1, j)] ** (-q[j - 1])
+    m = form.m
+    i1 = 1 % n + 1
+    sm = s[m - 1]
+    return b[(i1, m)] ** (-sm) * d[(i1, m)] * b[(1, m)] ** sm
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda h: st.tuples(st.just(2 * h + 1), st.integers(1, 4 * h + 1), st.integers(1, 12))))
+def test_takahashi_word_against_all_index_recurrence(case):
+    alpha, beta, n = case
+    assume(gcd(alpha, beta) == 1)
+    form = even_cf_expand(normalize(alpha, beta))
+    assert takahashi_word(form, n).w == takahashi_reference(form, n)

@@ -236,6 +236,9 @@ def cmd_verify(args):
         lines.append("MISMATCH %s degree %d exponents %s: %s"
                      % (rep["link"], rep["degree"], rep["exponents"],
                         [(r["route"], r.get("group", r.get("order"))) for r in rep["routes"]]))
+        # homology takes a link's exponents as (1, k) and a knot's as (1,)
+        argv = [rep["alpha"], rep["beta"], rep["degree"], *rep["exponents"][1:]]
+        lines.append("  reproduce: bridgecovers homology %s" % " ".join(map(str, argv)))
     lines.append("mismatches: %d" % len(mismatches))
     return (1 if mismatches else 0), data, lines
 

@@ -171,16 +171,60 @@ def _chain(xs) -> list:
 def smith_normal_form(m: IntMatrix) -> tuple:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
+    Phase 0 drops unit pivots sparsely.  Rows are kept as dicts from column
+    to nonzero entry; while some row holds a +-1, the shortest such row (to
+    limit fill-in) clears that entry's column from every other row, and the
+    pivot row and column leave the matrix.  Once the column is clear, the
+    column operations that clear the pivot row touch that row alone, so
+    SNF(M) = (1) + SNF(M') and each dropped pivot is an invariant factor 1.
+    Each entry left is +- a minor of M, a Schur complement over a pivot
+    block of determinant +-1, so Hadamard's bound limits its growth.  What
+    is left, less its zero rows and zero columns, goes to ``_modular_snf``;
+    on a matrix with no +-1 entry phase 0 does nothing.
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    units = 0
+    while True:
+        piv = size = None
+        for i, r in enumerate(rows):
+            if (piv is None or len(r) < size) and (1 in r.values() or -1 in r.values()):
+                piv, size = i, len(r)
+        if piv is None:
+            break
+        top = rows.pop(piv)
+        c, p = next((j, x) for j, x in top.items() if x == 1 or x == -1)
+        for r in rows:
+            f = r.get(c)
+            if f:
+                f *= p  # f / p, as p = +-1
+                for j, x in top.items():
+                    y = r.get(j, 0) - f * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
+        units += 1
+    rows = [r for r in rows if r]
+    cols = sorted(set().union(*rows))
+    return (1,) * units + _modular_snf([[r.get(j, 0) for j in cols] for r in rows], len(cols))
+
+
+def _modular_snf(entries, cols: int) -> tuple:
+    """Nonzero invariant factors of a dense matrix given as rows of ints.
+
     Plain elimination suffers catastrophic entry growth on some of the
     circulant-like relator matrices this package produces (minutes for a
     25x24 matrix).  Instead: get the rank r and one nonzero r x r minor D
     by fraction-free elimination, then eliminate with every entry kept as
-    a balanced residue mod D.  The row lattice always contains D*Z^cols,
-    so the reductions are row operations in disguise; pivots recovered as
-    gcd(pivot, D), never-pivoted columns contribute a factor D.
+    a balanced residue mod D.  That is elimination on the rows stacked over
+    D*I_cols, whose row lattice contains D*Z^cols, so the reductions are row
+    operations in disguise.  Its invariant factors are gcd(d_i, D) = d_i,
+    as d_1...d_r divides every r x r minor, followed by cols - r copies of
+    D: pivots are recovered as gcd(pivot, D), never-pivoted columns
+    contribute a factor D, and the first r of the chain are the answer.
     """
-    rows, cols = m.rows, m.cols
-    r, D = _bareiss(m.entries, cols)
+    rows = len(entries)
+    r, D = _bareiss(entries, cols)
     if r == 0:
         return ()
     D = abs(D)
@@ -192,7 +236,7 @@ def smith_normal_form(m: IntMatrix) -> tuple:
         x %= D
         return x - D if x > half else x
 
-    a = [[red(x) for x in row] for row in m.entries]
+    a = [[red(x) for x in row] for row in entries]
     out = []
     rr = cc = 0
     while rr < rows and cc < cols:
@@ -254,8 +298,8 @@ def group_from_factors(rank: int, factors) -> AbelianGroup:
 
 def h1(p: Presentation) -> AbelianGroup:
     """Cokernel of the abelianized relator matrix."""
-    mat = IntMatrix.from_rows(p.relator_matrix(), cols=p.generator_count)
-    factors = smith_normal_form(mat)
+    rows = p.relator_matrix()
+    factors = smith_normal_form(IntMatrix(len(rows), p.generator_count, tuple(map(tuple, rows))))
     return AbelianGroup(p.generator_count - len(factors),
                         tuple(d for d in factors if d > 1))
 

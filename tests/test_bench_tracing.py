@@ -4,23 +4,30 @@
 in every ``bridgecovers`` namespace.  A target that no longer exists breaks
 the tracer, and a route table that stores a traced function itself keeps
 the original out of reach of the rebinding, so its calls go unrecorded.
+A kernel that calls back through a traced name is counted twice.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from bridgecovers import homology
+import pytest
+
+from bridgecovers import cli, homology
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def traced_targets():
-    """(span name, module, attribute) of every target in bench/spans.py."""
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TRACED
+    return spans
+
+
+def traced_targets():
+    """(span name, module, attribute) of every target in bench/spans.py."""
+    return load_spans().TRACED
 
 
 def resolve(module, attr):
@@ -39,3 +46,14 @@ def test_routes_reach_traced_functions_through_globals():
     traced = [resolve(module, attr) for _, module, attr in traced_targets()]
     for name, route in homology.ROUTES.items():
         assert not any(route is fn for fn in traced), name
+
+
+@pytest.mark.parametrize("argv", [("homology", "5", "3", "3"),
+                                  ("homology", "8", "3", "4", "3")])
+def test_one_smith_normal_form_call_per_h1(capsys, argv):
+    with load_spans().Tracer() as tracer:
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    _, calls = tracer.totals()
+    assert calls["homology.h1"] >= 2
+    assert calls["homology.smith_normal_form"] == calls["homology.h1"]

@@ -147,6 +147,35 @@ def test_verify_counts_unverified(capsys, monkeypatch):
     assert 0 < rec["unverified"] < rec["checked"]
 
 
+def test_verify_mismatch_reproducers(capsys, monkeypatch):
+    from bridgecovers import homology
+
+    def wrong_closed_form(t, spec):
+        if (t.alpha, t.beta, spec.n) in ((5, 2, 3), (8, 3, 4)):
+            return {"group": {"rank": 0, "torsion": [7]}}
+
+    monkeypatch.setitem(homology.ROUTES, "closed_form", wrong_closed_form)
+    code, out, _ = run(capsys, "verify", "--sweep", "8", "4")
+    assert code == 1
+    lines = out.splitlines()
+    found = [(lines[i], lines[i + 1]) for i, line in enumerate(lines)
+             if line.startswith("MISMATCH")]
+    # one knot covering, and the link b(8,3) with k = 1, 2, 3
+    assert len(found) == 4
+    assert all(rep.startswith("  reproduce: bridgecovers homology ") for _, rep in found)
+    assert found[0][1] == "  reproduce: bridgecovers homology 5 2 3"
+    assert [rep for _, rep in found[1:]] == [
+        "  reproduce: bridgecovers homology 8 3 4 %d" % k for k in (1, 2, 3)]
+    # each reproducer finds its mismatch again
+    for _, rep in found:
+        argv = rep.split("bridgecovers ")[1].split()
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and out.splitlines()[-1] == "agree: NO"
+    code, rec = run_json(capsys, "verify", "--sweep", "8", "4", "--format", "json")
+    assert code == 1 and len(rec["mismatches"]) == 4
+    assert all("reproduce" not in json.dumps(rep) for rep in rec["mismatches"])
+
+
 def test_argument_errors_exit_2(capsys):
     for argv in (("homology", "4", "2", "3"),
                  ("present", "8", "3", "3", "--method", "takahashi"),

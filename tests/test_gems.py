@@ -3,6 +3,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgecovers.covering import CoveringSpec
 from bridgecovers.gems import (
@@ -117,6 +118,22 @@ def test_gem_criterion_sweep():
                         params = LMParams(n, p, q, c, cp)
                         g = build_generalized(params)
                         assert is_gem(g) == gem_closed_form(params), params
+
+
+@st.composite
+def lm_params(draw):
+    """LMParams(n, p, q, c, c') with n, p <= 7."""
+    n, p = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    q = draw(st.integers(0, 2 * p - 1).filter(lambda q: gcd(p, q) == 1))
+    c, cp = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda cs: gcd(n, *cs) == 1))
+    return LMParams(n, p, q, c, cp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lm_params())
+def test_gem_criterion_random(params):
+    assert is_gem(build_generalized(params)) == gem_closed_form(params)
 
 
 def test_is_crystallization():

@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bridgecovers import homology
 from bridgecovers.covering import CoveringSpec
 from bridgecovers.homology import (
     ROUTES,
@@ -22,12 +24,14 @@ from bridgecovers.homology import (
     verify_consistency,
     whitehead_factors,
 )
+from bridgecovers.polyhedral import quotient_counts
 from bridgecovers.presentations import (
     alexander_polynomial,
     minkus_presentation,
     mu3_presentation,
+    takahashi_word,
 )
-from bridgecovers.two_bridge import normalize
+from bridgecovers.two_bridge import even_cf_expand, normalize
 from bridgecovers.words import LaurentPolynomial
 
 
@@ -91,6 +95,73 @@ def test_smith_invariance():
         transposed = [list(row) for row in zip(*entries)]
         if transposed:
             assert smith_normal_form(IntMatrix.from_rows(transposed, cols=rows)) == base
+
+
+def snf(entries, cols):
+    return smith_normal_form(IntMatrix.from_rows(entries, cols=cols))
+
+
+# mostly zeros and units, so that the unit pivots of phase 0 meet fill-in
+# and the modular phase gets a core
+sparse_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3)),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices)
+def test_smith_sparse_units_against_minors(entries):
+    rows, cols = len(entries), len(entries[0])
+    assert snf(entries, cols) == minors_gcd_factors(entries, rows, cols)
+
+
+def test_smith_low_rank_against_minors():
+    # rank at most k < min(rows, cols): phase 0 ends on zero rows, and the
+    # modular phase works with an r x r minor of a rank-deficient core
+    rng = random.Random(7)
+    for _ in range(150):
+        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
+        k = rng.randrange(1, min(rows, cols))
+        a = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(rows)]
+        b = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(k)]
+        entries = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+                   for i in range(rows)]
+        factors = snf(entries, cols)
+        assert len(factors) <= k
+        assert factors == minors_gcd_factors(entries, rows, cols)
+
+
+def test_smith_unit_block_splits_off():
+    rng = random.Random(8)
+    for _ in range(100):
+        units = [rng.choice((1, -1)) for _ in range(rng.randrange(1, 5))]
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        m = [[rng.choice((0, 2, -3, 4, 6, 9)) for _ in range(cols)] for _ in range(rows)]
+        size = len(units) + cols
+        block = [[u if j == i else 0 for j in range(size)] for i, u in enumerate(units)]
+        block += [[0] * len(units) + row for row in m]
+        want = (1,) * len(units) + minors_gcd_factors(m, rows, cols)
+        assert snf(m, cols) == want[len(units):]
+        assert snf(block, size) == want
+        # the same block with its rows and columns shuffled
+        rng.shuffle(block)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        assert snf([[row[j] for j in perm] for row in block], size) == want
+
+
+def test_large_degree_routes_agree():
+    # b(29,12) at n = 320: 320 x 320 circulant-like relator matrices
+    t, n = normalize(29, 12), 320
+    minkus = minkus_presentation(t, n)
+    takahashi = takahashi_word(even_cf_expand(t), n).expand()
+    start = time.monotonic()
+    group = h1(minkus)
+    assert h1(takahashi) == group
+    assert time.monotonic() - start < 1.0
+    assert group.rank == 0 and len(group.torsion) == 4
 
 
 square_matrices = st.integers(0, 5).flatmap(
@@ -316,3 +387,41 @@ def coverings(draw):
 def test_routes_never_disagree(case):
     t, spec = case
     assert verify_consistency(t, spec)["agree"] is not False
+
+
+@st.composite
+def knot_degrees(draw):
+    """A 2-bridge knot with alpha < 40 and a degree n <= 12."""
+    alpha = draw(st.integers(1, 19).map(lambda h: 2 * h + 1))
+    beta = draw(st.integers(1, 2 * alpha - 1).filter(lambda b: gcd(alpha, b) == 1))
+    return normalize(alpha, beta), draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_degrees())
+def test_h1_order_is_resultant(case):
+    t, n = case
+    g = h1(minkus_presentation(t, n))
+    want = order_via_resultant(alexander_polynomial(t), n)
+    assert (g.order() if g.rank == 0 else "infinite") == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverings())
+def test_polyhedral_route_schemas_have_chi_zero(case):
+    t, spec = case
+    built = []
+    real = homology.build_minkus
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    homology.build_minkus = recording
+    try:
+        ROUTES["polyhedral"](t, spec)
+    finally:
+        homology.build_minkus = real
+    assert len(built) == (spec.single is not None)
+    for schema in built:
+        assert quotient_counts(schema).chi == 0

@@ -73,16 +73,6 @@ def test_smith_normal_form():
     assert smith_normal_form(m) == (1, 6)
 
 
-def test_smith_vs_minors_oracle():
-    rng = random.Random(5)
-    for _ in range(200):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        entries = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        m = IntMatrix.from_rows(entries, cols=cols)
-        assert smith_normal_form(m) == minors_gcd_factors(entries, rows, cols)
-
-
 def test_smith_invariance():
     rng = random.Random(6)
     for _ in range(100):
@@ -101,6 +91,11 @@ def snf(entries, cols):
     return smith_normal_form(IntMatrix.from_rows(entries, cols=cols))
 
 
+dense_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-5, 5), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
 # mostly zeros and units, so that the unit pivots of phase 0 meet fill-in
 # and the modular phase gets a core
 sparse_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
@@ -110,30 +105,32 @@ sparse_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
         min_size=shape[0], max_size=shape[0]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(sparse_matrices)
-def test_smith_sparse_units_against_minors(entries):
+@st.composite
+def low_rank_matrices(draw):
+    """Products of rows x k and k x cols matrices with k < min(rows, cols):
+    phase 0 ends on zero rows, and the modular phase works with an r x r
+    minor of a rank-deficient core."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, min(rows, cols) - 1))
+    entry = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=k, max_size=k))
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=450, deadline=None)
+@given(st.one_of(dense_matrices, sparse_matrices, low_rank_matrices()))
+def test_smith_vs_minors_oracle(entries):
     rows, cols = len(entries), len(entries[0])
     assert snf(entries, cols) == minors_gcd_factors(entries, rows, cols)
 
 
-def test_smith_low_rank_against_minors():
-    # rank at most k < min(rows, cols): phase 0 ends on zero rows, and the
-    # modular phase works with an r x r minor of a rank-deficient core
-    rng = random.Random(7)
-    for _ in range(150):
-        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
-        k = rng.randrange(1, min(rows, cols))
-        a = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(rows)]
-        b = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(k)]
-        entries = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
-                   for i in range(rows)]
-        factors = snf(entries, cols)
-        assert len(factors) <= k
-        assert factors == minors_gcd_factors(entries, rows, cols)
-
-
 def test_smith_unit_block_splits_off():
+    # SNF(diag(+-I_k, M)) = (1,) * k + SNF(M), with the rows and columns of
+    # the block shuffled
     rng = random.Random(8)
     for _ in range(100):
         units = [rng.choice((1, -1)) for _ in range(rng.randrange(1, 5))]
@@ -142,14 +139,11 @@ def test_smith_unit_block_splits_off():
         size = len(units) + cols
         block = [[u if j == i else 0 for j in range(size)] for i, u in enumerate(units)]
         block += [[0] * len(units) + row for row in m]
-        want = (1,) * len(units) + minors_gcd_factors(m, rows, cols)
-        assert snf(m, cols) == want[len(units):]
-        assert snf(block, size) == want
-        # the same block with its rows and columns shuffled
         rng.shuffle(block)
         perm = list(range(size))
         rng.shuffle(perm)
-        assert snf([[row[j] for j in perm] for row in block], size) == want
+        shuffled = [[row[j] for j in perm] for row in block]
+        assert snf(shuffled, size) == (1,) * len(units) + snf(m, cols)
 
 
 def test_large_degree_routes_agree():

@@ -109,6 +109,16 @@ class ColouredGraph:
             table[(a, b)] = (label, count)
         return table
 
+    @cached_property
+    def _residues(self) -> dict:
+        """Missing colour -> number of 3-residues on the other three colours.
+
+        Empty at first; _residue_count fills one entry per missing colour on
+        first use, so each union-find runs at most once per graph and a
+        non-gem is counted only up to its first failing colour.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class LMParams:
@@ -142,18 +152,17 @@ def eta(j: int, p: int) -> int:
 def _build(params: LMParams) -> ColouredGraph:
     n, p, q, c, cp = params.n, params.p, params.q, params.c, params.cprime
     width = 2 * p
-
-    def idx(i, j):
-        return (i % n) * width + (j % width)
-
-    inv = [[], [], [], []]
-    for v in range(n * width):
-        i, j = divmod(v, width)
-        inv[0].append(idx(i + c * eta(j - q, p), 1 - j + 2 * q))
-        inv[1].append(idx(i + cp * eta(j, p), 1 - j))
-        inv[2].append(idx(i, j + (-1) ** j))
-        inv[3].append(idx(i, j - (-1) ** j))
-    return ColouredGraph(tuple(tuple(col) for col in inv))
+    sign = [eta(j, p) for j in range(width)]
+    # each colour moves vertex (i, j) to (i + shift_j, column_j)
+    moves = (
+        [(c * sign[(j - q) % width], (1 - j + 2 * q) % width) for j in range(width)],
+        [(cp * sign[j], (1 - j) % width) for j in range(width)],
+        [(0, (j + (-1) ** j) % width) for j in range(width)],
+        [(0, (j - (-1) ** j) % width) for j in range(width)],
+    )
+    return ColouredGraph(tuple(
+        tuple(((i + shift) % n) * width + col for i in range(n) for shift, col in move)
+        for move in moves))
 
 
 def build_lins_mandel(params: LMParams) -> ColouredGraph:
@@ -197,26 +206,13 @@ def _residue_count(g: ColouredGraph, missing: int) -> int:
     missing.  With kept colours a < b < c, every edge of such a component
     lies in an ab-cycle or a bc-cycle, so the components are the classes of
     those cycles joined wherever they share a vertex."""
-    a, b, c = (x for x in range(4) if x != missing)
-    ab, m = g._cycles[(a, b)]
-    bc, k = g._cycles[(b, c)]
-    return len(set(_classes(m + k, zip(ab, (m + y for y in bc)))))
-
-
-def is_bipartite(g: ColouredGraph) -> bool:
-    side = [None] * g.vertex_count
-    side[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for inv in g.involutions:
-            w = inv[v]
-            if side[w] is None:
-                side[w] = 1 - side[v]
-                stack.append(w)
-            elif side[w] == side[v]:
-                return False
-    return True
+    counts = g._residues
+    if missing not in counts:
+        a, b, c = (x for x in range(4) if x != missing)
+        ab, m = g._cycles[(a, b)]
+        bc, k = g._cycles[(b, c)]
+        counts[missing] = len(set(_classes(m + k, zip(ab, (m + y for y in bc)))))
+    return counts[missing]
 
 
 def is_gem(g: ColouredGraph) -> bool:
@@ -229,6 +225,12 @@ def is_gem(g: ColouredGraph) -> bool:
     to twice the number of residues.  This is the oracle the closed-form
     criterion is validated against.
     """
+    return _is_gem(g)
+
+
+def _is_gem(g: ColouredGraph) -> bool:
+    # is_crystallization calls this, not is_gem, so that a wrapped is_gem
+    # counts only its callers' own gem tests
     for missing in range(4):
         kept = tuple(c for c in range(4) if c != missing)
         cycles = sum(g._cycles[pair][1] for pair in combinations(kept, 2))
@@ -249,7 +251,7 @@ def gem_closed_form(params: LMParams) -> bool:
 
 def is_crystallization(g: ColouredGraph) -> bool:
     """True iff deleting any one colour leaves the graph connected."""
-    if not is_gem(g):
+    if not _is_gem(g):
         raise NotAGem("graph has a non-spherical 3-residue")
     return all(_residue_count(g, missing) == 1 for missing in range(4))
 
@@ -350,14 +352,3 @@ def heegaard_genus(g: ColouredGraph, pairing) -> int:
         raise NonIntegerGenus("odd Euler characteristic %d" % chi)
     return 1 - chi // 2
 
-
-def serialize_graph(g: ColouredGraph) -> str:
-    """One line per colour: the involution in one-line permutation notation."""
-    return "\n".join(" ".join(str(w) for w in inv) for inv in g.involutions) + "\n"
-
-
-def parse_graph(text: str) -> ColouredGraph:
-    rows = [tuple(int(tok) for tok in line.split()) for line in text.splitlines() if line.strip()]
-    if len(rows) != 4:
-        raise ValueError("expected four involution lines, got %d" % len(rows))
-    return ColouredGraph(tuple(rows))

@@ -400,32 +400,87 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
     return None
 
 
-def _det(rows) -> int:
-    """Exact integer determinant of a square matrix."""
-    rank, pivot = _bareiss(rows, len(rows))
-    return pivot if rank == len(rows) else 0
+def _trim(coeffs: list) -> list:
+    """Drop trailing zero coefficients in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
-def _sylvester(f: list, g: list) -> list:
-    # f, g: descending coefficient lists
-    df, dg = len(f) - 1, len(g) - 1
-    size = df + dg
-    rows = []
-    for i in range(dg):
-        rows.append([0] * i + f + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + g + [0] * (size - dg - 1 - i))
-    return rows
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b over Z.
+
+    Polynomials are coefficient lists, constant term first, with a nonzero
+    last entry.
+    """
+    d, lead = len(b) - 1, b[-1]
+    a = list(a)
+    for k in range(len(a) - 1, d - 1, -1):
+        top = a.pop()
+        a = [lead * x for x in a]
+        for i in range(d):
+            a[k - d + i] -= top * b[i]
+    return _trim(a)
+
+
+def _abs_resultant(a: list, b: list) -> int:
+    """|Res(a, b)| for integer polynomials with deg a > deg b >= 0, by the
+    subresultant pseudo-remainder sequence (Cohen, GTM 138, Alg. 3.3.7).
+    Every division is exact, and the coefficients stay as small as the
+    subresultants."""
+    ca, cb = gcd(*a), gcd(*b)
+    scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _prem(a, b)
+        if not r:
+            return 0
+        a, b = b, [x // (g * h ** delta) for x in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1)
+    return abs(scale * (b[0] ** (len(a) - 1) // h ** (len(a) - 2)))
+
+
+def _power_mod(f: list, n: int) -> tuple:
+    """(r, e) with lc(f)^e t^n = r mod f over Z, deg r < deg f, for deg f >= 1.
+
+    n steps of r -> t r; a step whose product reaches degree deg f is
+    reduced by f after scaling by lc(f), which raises e by one.
+    """
+    lead = f[-1]
+    r, e = [1] + [0] * (len(f) - 2), 0
+    for _ in range(n):
+        top = r[-1]
+        r = [0] + r[:-1]
+        if top:
+            r = [lead * x - top * y for x, y in zip(r, f)]
+            e += 1
+    return r, e
 
 
 def order_via_resultant(delta: LaurentPolynomial, n: int):
-    """|Res(Delta, t^n - 1)| exactly; 0 is reported as "infinite"."""
-    coeffs = delta.coefficient_list()
-    if not coeffs:
+    """|Res(Delta, t^n - 1)| exactly; 0 is reported as "infinite".
+
+    Euclid's first step on t^n mod Delta: with a = lc(Delta), d = deg Delta
+    and a^e t^n = r mod Delta, every root x of Delta has
+    a^e (x^n - 1) = R(x) for R = r - a^e, so
+    |Res(Delta, t^n - 1)| = |a|^(n - deg R - e d) |Res(Delta, R)|.
+    That costs n steps on d coefficients and one resultant of degree d.
+    """
+    f = delta.coefficient_list()
+    if not f:
         raise ValueError("zero polynomial has no resultant order")
-    f = list(reversed(coeffs))
-    g = [1] + [0] * (n - 1) + [-1]
-    val = abs(_det(_sylvester(f, g)))
+    a = abs(f[-1])
+    if len(f) == 1:
+        return a ** n
+    r, e = _power_mod(f, n)
+    r[0] -= f[-1] ** e
+    if not _trim(r):
+        return "infinite"
+    val = _abs_resultant(f, r) * a ** (n - len(r) + 1) // a ** (e * (len(f) - 1))
     return val if val else "infinite"
 
 

@@ -57,3 +57,12 @@ def test_one_smith_normal_form_call_per_h1(capsys, argv):
     _, calls = tracer.totals()
     assert calls["homology.h1"] >= 2
     assert calls["homology.smith_normal_form"] == calls["homology.h1"]
+
+
+def test_one_is_gem_call_per_gem(capsys):
+    with load_spans().Tracer() as tracer:
+        assert cli.main(["gem", "5", "8", "3", "3"]) == 0
+    capsys.readouterr()
+    _, calls = tracer.totals()
+    assert calls["gems.is_crystallization"] == 1
+    assert calls["gems.is_gem"] == 1

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -14,6 +15,7 @@ from bridgecovers.gems import (
     NotAGem,
     OutOfRange,
     SPHERE,
+    _residue_count,
     bicoloured_cycles,
     build_generalized,
     build_lins_mandel,
@@ -21,15 +23,12 @@ from bridgecovers.gems import (
     gem_closed_form,
     graph_isomorphic,
     heegaard_genus,
-    is_bipartite,
     is_crystallization,
     is_gem,
     lm_isomorphic_closed_form,
-    parse_graph,
     represented_covering,
-    serialize_graph,
 )
-from bridgecovers.polyhedral import NotAManifold
+from bridgecovers.polyhedral import NotAManifold, _classes
 from bridgecovers.two_bridge import normalize
 
 
@@ -52,6 +51,41 @@ def test_eta():
     assert eta(6, 5) == -1
     assert eta(0, 5) == -1
     assert eta(11, 5) == 1  # wraps mod 2p
+
+
+def reference_build(params):
+    """Independent oracle: the four involutions vertex by vertex."""
+    n, p, q, c, cp = params.n, params.p, params.q, params.c, params.cprime
+    width = 2 * p
+
+    def idx(i, j):
+        return (i % n) * width + (j % width)
+
+    inv = [[], [], [], []]
+    for v in range(n * width):
+        i, j = divmod(v, width)
+        inv[0].append(idx(i + c * eta(j - q, p), 1 - j + 2 * q))
+        inv[1].append(idx(i + cp * eta(j, p), 1 - j))
+        inv[2].append(idx(i, j + (-1) ** j))
+        inv[3].append(idx(i, j - (-1) ** j))
+    return tuple(tuple(col) for col in inv)
+
+
+def test_build_matches_per_vertex_reference():
+    count = 0
+    for n in range(1, 8):
+        for p in range(1, 8):
+            for q in range(2 * p):
+                if gcd(p, q) != 1:
+                    continue
+                for c in range(n):
+                    for cp in range(n):
+                        if gcd(n, gcd(c, cp)) != 1:
+                            continue
+                        params = LMParams(n, p, q, c, cp)
+                        assert build_generalized(params).involutions == reference_build(params)
+                        count += 1
+    assert count == 4320
 
 
 def test_build_basic():
@@ -77,9 +111,33 @@ def test_generalized_extends():
         assert build_lins_mandel(params).involutions == build_generalized(params).involutions
 
 
-def test_degenerate_involution():
-    with pytest.raises(DegenerateInvolution):
-        ColouredGraph(((1, 0), (1, 0), (0, 1, 3, 2)[:2], (1, 0)))
+@pytest.mark.parametrize("involutions, error, message", [
+    pytest.param(((1, 0),) * 3, ValueError, "need exactly four involutions",
+                 id="three_colours"),
+    pytest.param(((1, 0),) * 5, ValueError, "need exactly four involutions",
+                 id="five_colours"),
+    pytest.param(((),) * 4, ValueError, "vertex count must be positive and even",
+                 id="no_vertex"),
+    pytest.param(((1, 2, 0),) * 4, ValueError, "vertex count must be positive and even",
+                 id="odd_vertex_count"),
+    pytest.param(((1, 0), (1, 0), (1, 0), (1, 0, 3, 2)), ValueError,
+                 "involution 3 acts on a different vertex set", id="length_mismatch"),
+    pytest.param(((1, 0), (1, 0), (0, 1), (1, 0)), DegenerateInvolution,
+                 "colour 2 fixes vertex 0", id="fixed_point"),
+    pytest.param(((1, 0), (2, 0), (1, 0), (1, 0)), ValueError,
+                 "colour 1 is not an involution at vertex 0", id="endpoint_too_large"),
+    # a negative endpoint would index from the end and find vertex 0 again
+    pytest.param(((1, 0), (1, 0), (-1, 0), (1, 0)), ValueError,
+                 "colour 2 is not an involution at vertex 0", id="negative_endpoint"),
+    pytest.param(((1, 0, 3, 2), (1, 0, 3, 2), (1, 0, 3, 2), (1, 2, 3, 0)), ValueError,
+                 "colour 3 is not an involution at vertex 0", id="not_an_involution"),
+    pytest.param(((1, 0, 3, 2),) * 4, ValueError, "graph is not connected",
+                 id="disconnected"),
+])
+def test_rejections(involutions, error, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)) as caught:
+        ColouredGraph(involutions)
+    assert caught.type is error
 
 
 def test_bicoloured_cycles():
@@ -202,17 +260,27 @@ def test_heegaard_genus():
         heegaard_genus(g, (0, 1, 2, 2))
 
 
+def is_bipartite(g):
+    """Two-colouring of the vertices by search: the gem is orientable."""
+    side = [None] * g.vertex_count
+    side[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for inv in g.involutions:
+            w = inv[v]
+            if side[w] is None:
+                side[w] = 1 - side[v]
+                stack.append(w)
+            elif side[w] == side[v]:
+                return False
+    return True
+
+
 def test_bipartite():
     for params in lm_sweep(4, 4):
         assert is_bipartite(build_lins_mandel(params))
     assert is_bipartite(TWO_VERTEX)
-
-
-def test_serialize_roundtrip():
-    g = build_lins_mandel(LMParams(3, 4, 1, 1))
-    assert parse_graph(serialize_graph(g)).involutions == g.involutions
-    with pytest.raises(ValueError):
-        parse_graph("0 1\n1 0\n")
 
 
 def _residues(g, colours):
@@ -271,6 +339,9 @@ def test_cycle_table_against_search():
         g = _random_graph(rng, v_count)
         for pair in combinations(range(4), 2):
             assert bicoloured_cycles(g, pair) == sorted(map(len, _residues(g, pair)))
+        for missing in range(4):
+            kept = [c for c in range(4) if c != missing]
+            assert _residue_count(g, missing) == len(_residues(g, kept))
         assert is_gem(g) == _reference_is_gem(g)
         if is_gem(g):
             gems += 1
@@ -283,21 +354,31 @@ def test_cycle_table_against_search():
     assert 0 < gems < 240
 
 
+def logging_calls(log, real):
+    """real, appending its first argument to log on every call."""
+    def logged(first, *rest):
+        log.append(first)
+        return real(first, *rest)
+    return logged
+
+
 def test_cycle_table_is_built_once_per_graph(monkeypatch):
-    table = ColouredGraph.__dict__["_cycles"]
-    built = []
-    real = table.func
-
-    def counting(g):
-        built.append(g)
-        return real(g)
-
-    monkeypatch.setattr(table, "func", counting)
+    built = {"_cycles": [], "_residues": []}
+    for name, log in built.items():
+        table = ColouredGraph.__dict__[name]
+        monkeypatch.setattr(table, "func", logging_calls(log, table.func))
+    union_finds = []
+    monkeypatch.setattr("bridgecovers.gems._classes", logging_calls(union_finds, _classes))
     g = build_lins_mandel(LMParams(5, 8, 3, 3))
-    assert is_gem(g) and is_crystallization(g)
+    assert is_gem(g) and is_crystallization(g) and is_gem(g)
     for order in CYCLIC_ORDERS:
         heegaard_genus(g, order)
     bicoloured_cycles(g, (3, 1))
-    assert built == [g]
+    assert built == {"_cycles": [g], "_residues": [g]}
+    assert len(union_finds) == 4  # one per missing colour
     build_lins_mandel(LMParams(5, 8, 3, 3))._cycles
-    assert len(built) == 2
+    assert len(built["_cycles"]) == 2
+    # a non-gem stops at its first failing colour
+    union_finds.clear()
+    assert not is_gem(build_lins_mandel(LMParams(3, 5, 3, 1)))
+    assert len(union_finds) < 4

@@ -12,7 +12,7 @@ from bridgecovers.homology import (
     ROUTES,
     AbelianGroup,
     IntMatrix,
-    _det,
+    _bareiss,
     even_alpha_params,
     genus_one_params,
     group_from_factors,
@@ -44,6 +44,18 @@ def laplace_det(sub):
         minor = [row[:j] + row[j + 1:] for row in sub[1:]]
         out += (-1) ** j * sub[0][j] * laplace_det(minor)
     return out
+
+
+def sylvester_order(delta, n):
+    """Independent oracle: |det| of the Sylvester matrix of Delta and
+    t^n - 1, "infinite" when it vanishes."""
+    f = list(reversed(delta.coefficient_list()))
+    g = [1] + [0] * (n - 1) + [-1]
+    df, dg = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (dg - 1 - i) for i in range(dg)]
+    rows += [[0] * i + g + [0] * (df - 1 - i) for i in range(df)]
+    rank, pivot = _bareiss(rows, len(rows))
+    return abs(pivot) if rank == len(rows) else "infinite"
 
 
 def minors_gcd_factors(entries, rows, cols):
@@ -166,7 +178,8 @@ square_matrices = st.integers(0, 5).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(square_matrices)
 def test_det_against_laplace(entries):
-    assert _det(entries) == laplace_det(entries)
+    rank, pivot = _bareiss(entries, len(entries))
+    assert (pivot if rank == len(entries) else 0) == laplace_det(entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,6 +402,40 @@ def knot_degrees(draw):
     alpha = draw(st.integers(1, 19).map(lambda h: 2 * h + 1))
     beta = draw(st.integers(1, 2 * alpha - 1).filter(lambda b: gcd(alpha, b) == 1))
     return normalize(alpha, beta), draw(st.integers(1, 12))
+
+
+@st.composite
+def resultant_inputs(draw):
+    """An Alexander polynomial with odd alpha < 40 (alpha = 1 is the
+    unknot, Delta = 1) or any integer polynomial of degree <= 8, with a
+    degree n <= 12."""
+    if draw(st.booleans()):
+        alpha = draw(st.integers(0, 19).map(lambda h: 2 * h + 1))
+        if alpha == 1:
+            delta = LaurentPolynomial({0: 1})
+        else:
+            beta = draw(st.integers(1, 2 * alpha - 1).filter(lambda b: gcd(alpha, b) == 1))
+            delta = alexander_polynomial(normalize(alpha, beta))
+    else:
+        coeffs = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=9)
+                      .filter(any))
+        delta = LaurentPolynomial(dict(enumerate(coeffs)))
+    return delta, draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(resultant_inputs())
+def test_resultant_against_sylvester(case):
+    delta, n = case
+    assert order_via_resultant(delta, n) == sylvester_order(delta, n)
+
+
+def test_resultant_at_large_degree():
+    delta = alexander_polynomial(normalize(29, 12))
+    start = time.monotonic()
+    order = order_via_resultant(delta, 1280)
+    assert time.monotonic() - start < 1.0
+    assert order == h1(minkus_presentation(normalize(29, 12), 1280)).order()
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bridgecovers import homology
 from bridgecovers.covering import CoveringSpec
@@ -425,6 +425,7 @@ def resultant_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(resultant_inputs())
+@example((LaurentPolynomial({0: 1}), 5))
 def test_resultant_against_sylvester(case):
     delta, n = case
     assert order_via_resultant(delta, n) == sylvester_order(delta, n)

@@ -96,6 +96,9 @@ def cmd_present(args):
         pres = mu3_presentation(t, args.n, args.k)
     else:
         pres = takahashi_word(even_cf_expand(t), args.n).expand()
+    # a knot's exponent must generate Z_n, as in homology's CoveringSpec
+    if t.is_knot and gcd(args.n, args.k) != 1:
+        raise ValueError("exponents do not generate Z_%d" % args.n)
     data = {"link": str(t), "degree": args.n, "method": args.method}
     data.update(_presentation_payload(pres))
     lines = ["%s, degree %d, %s presentation" % (t, args.n, args.method),

@@ -112,7 +112,7 @@ def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     covering and the intermediate link is t itself in its L(1, .) form.
     """
     if not t.is_link:
-        raise NotALink(str(t))
+        raise NotALink("%s is a knot; decompose needs a 2-component link" % t)
     if n < 2:
         raise ValueError("degree must be at least 2, got %d" % n)
     k %= n

@@ -37,15 +37,6 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
 
-    @classmethod
-    def from_rows(cls, rows, cols=None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in row) for row in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("empty matrix needs an explicit column count")
-            cols = len(rows[0])
-        return cls(len(rows), cols, tuple(rows))
-
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -62,10 +53,6 @@ class AbelianGroup:
                 raise ValueError("invariant factors must be at least 2")
             if i and d % self.torsion[i - 1]:
                 raise ValueError("torsion is not a divisibility chain")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def order(self):
         """Group order, or None when the rank part makes it infinite."""

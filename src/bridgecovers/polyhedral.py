@@ -60,10 +60,6 @@ class MinkusSchema:
     def edge_count(self) -> int:
         return self.n * self.p + self.n
 
-    @property
-    def face_count(self) -> int:
-        return 2 * self.n
-
     def vertex_name(self, v: int) -> str:
         if v == 0:
             return "N"
@@ -79,11 +75,6 @@ class MinkusSchema:
             label = ("R'%d" if f % 2 else "R%d") % (f // 2)
             out[label] = tuple(self.vertex_name(v) for v in verts)
         return out
-
-    @property
-    def marked_vertices(self) -> tuple:
-        # P_i is the arc endpoint q steps below N on semicircle i
-        return tuple(_semicircle(self, i)[self.q] for i in range(self.n))
 
     @cached_property
     def _gluing(self) -> "_Gluing":

@@ -32,19 +32,6 @@ class MinkusShiftData:
             prev = v
 
 
-@dataclass(frozen=True)
-class Mu3Data:
-    """Exponents e_j and shifts s_j of the coloured-graph presentation."""
-
-    nprime: int
-    e: tuple
-    s: tuple
-
-    def __post_init__(self):
-        if any(v not in (1, -1) for v in self.e):
-            raise ValueError("exponents must be +-1")
-
-
 def _check_degree(n: int) -> None:
     if n <= 0:
         raise ValueError("covering degree must be positive, got %d" % n)
@@ -132,27 +119,17 @@ def _mu3_shifts(alpha: int, beta: int, n: int, k: int):
     return k, e, s
 
 
-def _mu3_checked(t: TwoBridge, n: int, k: int):
-    """_mu3_shifts after the checks both mu3 entry points share."""
-    if not t.is_link:
-        raise NotALink(str(t))
-    _check_degree(n)
-    k %= n
-    if k == 0:
-        raise ValueError("k must be nonzero mod n")
-    return _mu3_shifts(t.alpha, t.beta, n, k)
-
-
-def mu3_data(t: TwoBridge, n: int, k: int) -> Mu3Data:
-    k, e, s = _mu3_checked(t, n, k)
-    return Mu3Data(n // gcd(n, k), tuple(e), tuple(s))
-
-
 def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     """Presentation of M_{n,1,k} read off the coloured graph: gcd(n,k)
     relators Q_i = prod_j x_{i-jk} and n relators Q'_i = prod_j x_{i+s_j}^{e_j}.
     """
-    k, e, s = _mu3_checked(t, n, k)
+    if not t.is_link:
+        raise NotALink("%s is a knot; mu3 needs a 2-component link" % t)
+    _check_degree(n)
+    k %= n
+    if k == 0:
+        raise ValueError("k must be nonzero mod n")
+    k, e, s = _mu3_shifts(t.alpha, t.beta, n, k)
     d = gcd(n, k)
     rels = []
     for i in range(1, d + 1):
@@ -208,7 +185,8 @@ def alexander_polynomial(t: TwoBridge) -> LaurentPolynomial:
     defining word with unwrapped indices; normalized to lowest exponent 0 and
     positive leading coefficient."""
     if not t.is_knot:
-        raise NotAKnot(str(t))
+        raise NotAKnot("%s is a 2-component link; the Alexander polynomial "
+                       "here needs a knot" % t)
     coeffs = {}
     for i, e in _minkus_letters(t):
         coeffs[i] = coeffs.get(i, 0) + e

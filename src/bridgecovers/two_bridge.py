@@ -131,7 +131,8 @@ def mirror(t: TwoBridge) -> TwoBridge:
 def reorient_component(t: TwoBridge) -> TwoBridge:
     """Reverse the orientation of one component: b(alpha, beta - alpha)."""
     if not t.is_link:
-        raise NotALink(str(t))
+        raise NotALink("%s is a knot; reorienting one component needs a "
+                       "2-component link" % t)
     return normalize(t.alpha, t.beta - t.alpha)
 
 
@@ -207,7 +208,7 @@ def even_cf_expand(t: TwoBridge) -> EvenConwayForm:
 def linking_number(t: TwoBridge) -> int:
     """Linking number of the two components: sum of (-1)^[(2h-1) beta / alpha]."""
     if not t.is_link:
-        raise NotALink(str(t))
+        raise NotALink("%s is a knot; the linking number needs a 2-component link" % t)
     return sum((-1) ** (((2 * h - 1) * t.beta) // t.alpha) for h in range(1, t.alpha // 2 + 1))
 
 
@@ -218,7 +219,7 @@ def is_genus_one(t: TwoBridge) -> bool:
     divisibility of (alpha - 1)/4 or (alpha + 1)/4 (by alpha mod 4) by beta/2.
     """
     if not t.is_knot:
-        raise NotAKnot(str(t))
+        raise NotAKnot("%s is a 2-component link; the genus-one test needs a knot" % t)
     target = (t.alpha - 1) // 4 if t.alpha % 4 == 1 else (t.alpha + 1) // 4
     b = t.beta % t.alpha
     for x in (b, pow(b, -1, t.alpha)):

@@ -2,12 +2,10 @@
 
 A word is a tuple of syllables (generator_index, exponent).  Construction
 merges adjacent syllables with equal index and drops zero exponents, so
-stored words are freely reduced; cyclic reduction is a separate step.
+stored words are freely reduced.
 """
 
 from dataclasses import dataclass, field
-import json
-import re
 
 
 @dataclass(frozen=True)
@@ -44,21 +42,8 @@ class FreeWord:
             out[(i - 1) % n] += e
         return out
 
-    def letter_length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def is_empty(self) -> bool:
         return not self.letters
-
-    def cyclic_reduce(self) -> "FreeWord":
-        ls = list(self.letters)
-        while len(ls) > 1 and ls[0][0] == ls[-1][0]:
-            i, e = ls[0]
-            _, e2 = ls[-1]
-            ls = ls[1:-1]
-            if e + e2:
-                ls.insert(0, (i, e + e2))
-        return FreeWord(tuple(ls))
 
     def __str__(self):
         return format_word(self)
@@ -83,20 +68,6 @@ def word(*letters) -> FreeWord:
     return FreeWord(tuple(letters))
 
 
-_SYLLABLE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
-
-
-def parse_word(text: str) -> FreeWord:
-    """Parse `x3^-2 x1 x2^1` syntax."""
-    letters = []
-    for tok in text.split():
-        m = _SYLLABLE.match(tok)
-        if not m:
-            raise ValueError("bad syllable %r" % tok)
-        letters.append((int(m.group(1)), int(m.group(2) or 1)))
-    return FreeWord(tuple(letters))
-
-
 def format_word(w: FreeWord) -> str:
     if not w.letters:
         return "1"
@@ -117,15 +88,6 @@ class Presentation:
     def relator_matrix(self) -> list:
         """Abelianized relators: one row of exponent sums per relator."""
         return [r.exponent_sums(self.generator_count) for r in self.relators]
-
-    def to_json(self) -> str:
-        return json.dumps({"generators": self.generator_count,
-                           "relators": [format_word(r) for r in self.relators]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Presentation":
-        data = json.loads(text)
-        return cls(data["generators"], tuple(parse_word(r) for r in data["relators"]))
 
 
 @dataclass(frozen=True)
@@ -151,9 +113,6 @@ class LaurentPolynomial:
     def __eq__(self, other):
         return isinstance(other, LaurentPolynomial) and self.coefficients == other.coefficients
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def lowest(self) -> int:
         return min(self.coefficients) if self.coefficients else 0
 
@@ -167,29 +126,6 @@ class LaurentPolynomial:
         lo = self.lowest()
         sign = 1 if self.coefficients[self.degree()] > 0 else -1
         return LaurentPolynomial({e - lo: sign * c for e, c in self.coefficients.items()})
-
-    def unit_multiple(self, j: int, sign: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial({e + j: sign * c for e, c in self.coefficients.items()})
-
-    def unit_equal(self, other: "LaurentPolynomial") -> bool:
-        return self.normalized() == other.normalized()
-
-    def wrap(self, n: int) -> "LaurentPolynomial":
-        """Reduce mod t^n - 1."""
-        out = {}
-        for e, c in self.coefficients.items():
-            out[e % n] = out.get(e % n, 0) + c
-        return LaurentPolynomial(out)
-
-    def unit_equal_mod(self, other: "LaurentPolynomial", n: int) -> bool:
-        """Equality up to +- t^j in Z[t]/(t^n - 1)."""
-        a = self.wrap(n)
-        b = other.wrap(n)
-        for j in range(n):
-            for sign in (1, -1):
-                if a.unit_multiple(j, sign).wrap(n) == b:
-                    return True
-        return a.is_zero() and b.is_zero()
 
     def coefficient_list(self) -> list:
         """Coefficients of the normalized polynomial from exponent 0 upward."""

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgecovers.cli import main
-from bridgecovers.words import parse_word, format_word
+from bridgecovers.words import format_word, word
 
 
 def run(capsys, *argv):
@@ -39,7 +43,7 @@ def test_present_takahashi_text(capsys):
     assert "takahashi" in lines[0]
     assert lines[1] == "generators: 4"
     relators = [ln.strip() for ln in lines[2:]]
-    base = parse_word("x3^-1 x2^2 x1^-1 x2")
+    base = word((3, -1), (2, 2), (1, -1), (2, 1))
     assert relators == [format_word(base.shift(i, 4)) for i in range(4)]
 
 
@@ -327,6 +331,29 @@ def test_present_bad_degree_exits_2(capsys):
         assert "error: covering degree must be positive" in err
 
 
+def test_present_knot_exponent_must_generate(capsys):
+    # the same rejection as homology's for the same covering
+    for argv in (("present", "5", "3", "4", "2"),
+                 ("present", "5", "3", "4", "0"),
+                 ("present", "5", "3", "4", "2", "--method", "takahashi"),
+                 ("present", "5", "3", "4", "0", "--method", "takahashi"),
+                 ("homology", "5", "3", "4", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: exponents do not generate Z_4"
+
+
+def test_knot_link_errors_say_what_is_wrong(capsys):
+    for argv, message in (
+            (("present", "5", "3", "4", "--method", "mu3"),
+             "error: b(5,3) is a knot; mu3 needs a 2-component link"),
+            (("decompose", "5", "3", "4", "2"),
+             "error: b(5,3) is a knot; decompose needs a 2-component link")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == message
+
+
 def test_main_is_reentrant(capsys):
     # the parser is built once per process; no call may leak into the next
     run(capsys, "present", "5", "3", "3", "--method", "mu3")
@@ -371,3 +398,41 @@ def test_present_grid_never_raises(capsys):
                                         str(k), "--method", method]))
     capsys.readouterr()
     assert codes == {0, 2}
+
+
+small = st.integers(-2, 12)
+alphas = st.integers(-2, 40)
+betas = st.integers(-5, 80)
+formats = st.sampled_from(((), ("--format", "json")))
+verbs = st.one_of(
+    st.tuples(st.just("info"), alphas, betas),
+    st.tuples(st.just("classify"), alphas, betas, small, small),
+    st.tuples(st.just("classify"), alphas, betas, small, small, small),
+    st.tuples(st.just("present"), alphas, betas, small, small, st.just("--method"),
+              st.sampled_from(("minkus", "mu3", "takahashi"))),
+    st.tuples(st.just("homology"), alphas, betas, small, small),
+    st.tuples(st.just("gem"), small, small, small, small),
+    st.tuples(st.just("gem"), small, small, small, small, small),
+    st.tuples(st.just("polyhedral"), small, small, alphas, alphas),
+    st.tuples(st.just("decompose"), alphas, betas, small, small),
+    st.tuples(st.just("verify"), st.just("--sweep"), st.integers(-1, 8),
+              st.integers(-1, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(verbs, formats)
+def test_every_verb_exits_cleanly(argv, fmt):
+    # in-process, so an uncaught exception fails the test with its traceback
+    argv = [str(a) for a in argv] + list(fmt)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith("error: "), argv
+        # the message says more than the name of the link
+        assert not re.fullmatch(r"error: b\(\d+,\d+\)", last), (argv, last)

@@ -53,7 +53,7 @@ def test_decompose_component_counts():
 
 
 def test_decompose_validation():
-    with pytest.raises(NotALink):
+    with pytest.raises(NotALink, match=r"^b\(5,3\) is a knot; .* 2-component link$"):
         decompose(normalize(5, 3), 6, 2)
     with pytest.raises(ValueError):
         decompose(normalize(8, 3), 1, 1)

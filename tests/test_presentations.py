@@ -9,13 +9,14 @@ from bridgecovers.presentations import (
     minkus_cyclic,
     minkus_presentation,
     minkus_shift_data,
-    mu3_data,
     mu3_presentation,
     takahashi_word,
     word_polynomial,
 )
 from bridgecovers.two_bridge import EvenConwayForm, NotAKnot, NotALink, even_cf_expand, normalize
-from bridgecovers.words import CyclicPresentation, LaurentPolynomial, parse_word, word
+from bridgecovers.words import CyclicPresentation, LaurentPolynomial, word
+
+from laurent import unit_equal, unit_equal_mod
 
 
 def knots(amax):
@@ -39,9 +40,9 @@ def test_minkus_shift_data():
 
 
 def test_minkus_word():
-    assert minkus_cyclic(normalize(3, 1), 5).w == parse_word("x1 x2^-1 x3")
+    assert minkus_cyclic(normalize(3, 1), 5).w == word((1, 1), (2, -1), (3, 1))
     # x_0 means x_n after wrapping
-    assert minkus_cyclic(normalize(5, 3), 3).w == parse_word("x1 x3^-1 x1 x2^-1 x1")
+    assert minkus_cyclic(normalize(5, 3), 3).w == word((1, 1), (3, -1), (1, 1), (2, -1), (1, 1))
     assert minkus_cyclic(normalize(5, 3), 3).w.exponent_sums(3) == [3, -1, -1]
 
 
@@ -57,12 +58,15 @@ def test_minkus_presentation_shape():
 
 
 def test_mu3_data():
-    data = mu3_data(normalize(8, 3), 5, 2)
-    assert data.nprime == 5
-    assert len(data.e) == 8
-    assert all(e in (1, -1) for e in data.e)
-    with pytest.raises(NotALink):
-        mu3_data(normalize(5, 3), 5, 2)
+    # the exponents e_j and shifts s_j, read off the relators
+    pres = mu3_presentation(normalize(8, 3), 5, 2)
+    q, q_prime = pres.relators[0], pres.relators[gcd(5, 2):]
+    assert len(q.letters) == 5  # n' = n / gcd(n, k)
+    for r in q_prime:
+        assert len(r.letters) == 8  # one letter x_{i+s_j}^{e_j} per j < alpha
+        assert all(e in (1, -1) for _, e in r.letters)
+    with pytest.raises(NotALink, match=r"^b\(5,3\) is a knot; .* 2-component link$"):
+        mu3_presentation(normalize(5, 3), 5, 2)
 
 
 def test_mu3_presentation():
@@ -101,8 +105,8 @@ def test_takahashi_rejects_links():
 def test_word_polynomial():
     w = word((3, -1), (2, 2), (1, -1), (2, 1))
     p = word_polynomial(CyclicPresentation(5, w))
-    assert p.unit_equal(LaurentPolynomial({-1: -1, 0: 3, 1: -1}))
-    p = word_polynomial(CyclicPresentation(5, parse_word("x1 x2^-1 x3")))
+    assert unit_equal(p, LaurentPolynomial({-1: -1, 0: 3, 1: -1}))
+    p = word_polynomial(CyclicPresentation(5, word((1, 1), (2, -1), (3, 1))))
     assert p == LaurentPolynomial({0: 1, 1: -1, 2: 1})
     assert word_polynomial(CyclicPresentation(3, word((1, 1)))) == LaurentPolynomial({0: 1})
 
@@ -110,7 +114,7 @@ def test_word_polynomial():
 def test_alexander_polynomial():
     assert alexander_polynomial(normalize(5, 3)).coefficient_list() == [1, -3, 1]
     assert alexander_polynomial(normalize(3, 1)).coefficient_list() == [1, -1, 1]
-    with pytest.raises(NotAKnot):
+    with pytest.raises(NotAKnot, match=r"^b\(8,3\) is a 2-component link; .* knot$"):
         alexander_polynomial(normalize(8, 3))
 
 
@@ -147,12 +151,12 @@ def test_word_polynomial_is_alexander():
         delta = alexander_polynomial(t)
         # at a degree beyond the word span both polynomials stabilize
         big = word_polynomial(takahashi_word(form, 40))
-        assert big.unit_equal(word_polynomial(minkus_cyclic(t, 40)))
-        assert big.unit_equal(delta)
+        assert unit_equal(big, word_polynomial(minkus_cyclic(t, 40)))
+        assert unit_equal(big, delta)
         for n in range(2, 9):
             fp = word_polynomial(takahashi_word(form, n))
             mk = word_polynomial(minkus_cyclic(t, n))
-            assert fp.unit_equal_mod(mk, n), (t, n)
+            assert unit_equal_mod(fp, mk, n), (t, n)
 
 
 def test_degree_must_be_positive():
@@ -164,8 +168,6 @@ def test_degree_must_be_positive():
             minkus_presentation(link, n)
         with pytest.raises(ValueError, match="degree"):
             mu3_presentation(link, n, 1)
-        with pytest.raises(ValueError, match="degree"):
-            mu3_data(link, n, 1)
         with pytest.raises(ValueError, match="degree"):
             takahashi_word(even_cf_expand(knot), n)
     # degree 1 is the trivial covering and stays accepted

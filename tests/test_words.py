@@ -1,16 +1,19 @@
+import json
 import random
 
 import pytest
 
+from bridgecovers.cli import _presentation_payload
 from bridgecovers.words import (
     CyclicPresentation,
     FreeWord,
     LaurentPolynomial,
     Presentation,
     format_word,
-    parse_word,
     word,
 )
+
+from laurent import unit_equal, unit_equal_mod, wrap
 
 
 def test_merge_and_reduce():
@@ -48,25 +51,17 @@ def test_exponent_sums():
     assert w.exponent_sums(4) == [2, -1, 0, 1]
 
 
-def test_cyclic_reduce():
-    w = word((1, 1), (2, 1), (1, -1))
-    assert w.cyclic_reduce() == word((2, 1))
-    assert word((1, 2), (2, 1), (1, -1)).cyclic_reduce() == word((1, 1), (2, 1))
-
-
-def test_parse_format_roundtrip():
-    text = "x3^-2 x1 x2^4"
-    assert format_word(parse_word(text)) == text
-    assert parse_word("x1^1").letters == ((1, 1),)
+def test_format_word():
+    assert format_word(word((3, -2), (1, 1), (2, 4))) == "x3^-2 x1 x2^4"
     assert format_word(FreeWord()) == "1"
-    with pytest.raises(ValueError):
-        parse_word("y2")
 
 
 def test_presentation_json_roundtrip():
+    # the one JSON form of a presentation is the CLI payload
     pres = Presentation(3, (word((1, 1), (2, -1)), word((3, 2))))
-    back = Presentation.from_json(pres.to_json())
-    assert back == pres
+    payload = _presentation_payload(pres)
+    assert json.loads(json.dumps(payload)) == payload == {
+        "generators": 3, "relators": ["x1 x2^-1", "x3^2"]}
     assert pres.relator_matrix() == [[1, -1, 0], [0, 0, 2]]
     with pytest.raises(ValueError):
         Presentation(2, (word((3, 1)),))
@@ -77,7 +72,8 @@ def test_cyclic_presentation_expand():
     pres = cp.expand()
     assert pres.generator_count == 4
     assert len(pres.relators) == 4
-    assert sum(r.letter_length() for r in pres.relators) == 4 * cp.w.letter_length()
+    length = lambda w: sum(abs(e) for _, e in w.letters)
+    assert sum(map(length, pres.relators)) == 4 * length(cp.w)
     assert pres.relators[0] == cp.w
     assert pres.relators[1] == word((2, 1), (3, -1))
     assert pres.relators[3] == word((4, 1), (1, -1))
@@ -97,19 +93,19 @@ def test_reduction_confluent():
 def test_laurent_polynomial():
     p = LaurentPolynomial({-1: -1, 0: 3, 1: -1})
     q = LaurentPolynomial({0: -1, 1: 3, 2: -1})
-    assert p.unit_equal(q)
-    assert p.unit_equal(LaurentPolynomial({0: 1, 1: -3, 2: 1}))
-    assert not p.unit_equal(LaurentPolynomial({0: 1, 1: -1, 2: 1}))
+    assert unit_equal(p, q)
+    assert unit_equal(p, LaurentPolynomial({0: 1, 1: -3, 2: 1}))
+    assert not unit_equal(p, LaurentPolynomial({0: 1, 1: -1, 2: 1}))
     assert p.normalized().coefficient_list() == [1, -3, 1]
     assert p(1) == 1
     assert LaurentPolynomial({1: 5, 2: 0}).coefficients == {1: 5}
-    assert LaurentPolynomial().is_zero()
+    assert LaurentPolynomial().coefficients == {}
     assert str(LaurentPolynomial({2: 1, 1: -3, 0: 1})) == "t^2 - 3t + 1"
 
 
 def test_laurent_wrap():
     p = LaurentPolynomial({0: 1, 5: 1})
-    assert p.wrap(5) == LaurentPolynomial({0: 2})
+    assert wrap(p, 5) == LaurentPolynomial({0: 2})
     a = LaurentPolynomial({0: 1, 1: -1})
     b = LaurentPolynomial({2: 1, 3: -1})
-    assert a.unit_equal_mod(b, 4)
+    assert unit_equal_mod(a, b, 4)

@@ -14,14 +14,14 @@ from math import gcd
 
 from .covering import CoveringSpec, classify, genus_bounds, geometry, lens_recognize
 from .decomposition import decompose
-from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, NonIntegerGenus,
-                   build_generalized, gem_closed_form, heegaard_genus,
-                   is_crystallization, is_gem, represented_covering)
+from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, build_generalized,
+                   gem_closed_form, heegaard_genus, is_crystallization, is_gem,
+                   represented_covering)
 from .homology import ROUTES, AbelianGroup, verify_consistency
 from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
 from .presentations import minkus_presentation, mu3_presentation, takahashi_word
-from .two_bridge import (NoEvenRepresentative, cf_expand, even_cf_expand,
-                         is_genus_one, linking_number, normalize)
+from .two_bridge import (NotAKnot, cf_expand, even_cf_expand, is_genus_one,
+                         linking_number, normalize)
 from .words import format_word
 
 SCHEMA_VERSION = 1
@@ -40,15 +40,11 @@ def cmd_info(args):
     t = normalize(args.alpha, args.beta)
     data = {"link": str(t), "alpha": t.alpha, "beta": t.beta,
             "kind": "knot" if t.is_knot else "link",
-            "continued_fraction": list(cf_expand(t).entries)}
+            "continued_fraction": list(cf_expand(t).entries),
+            "even_form": list(even_cf_expand(t).entries())}
     lines = ["%s: %s" % (t, "knot" if t.is_knot else "2-component link"),
-             "continued fraction: %s" % (data["continued_fraction"],)]
-    try:
-        data["even_form"] = list(even_cf_expand(t).entries())
-        lines.append("even form: %s" % (data["even_form"],))
-    except NoEvenRepresentative:
-        data["even_form"] = None
-        lines.append("even form: none")
+             "continued fraction: %s" % (data["continued_fraction"],),
+             "even form: %s" % (data["even_form"],)]
     if t.is_link:
         data["linking_number"] = linking_number(t)
         lines.append("linking number: %d" % data["linking_number"])
@@ -94,6 +90,8 @@ def cmd_present(args):
                              "use --method mu3 for k = %d" % args.k)
     elif args.method == "mu3":
         pres = mu3_presentation(t, args.n, args.k)
+    elif t.is_link:
+        raise NotAKnot("%s is a 2-component link; takahashi needs a knot" % t)
     else:
         pres = takahashi_word(even_cf_expand(t), args.n).expand()
     # a knot's exponent must generate Z_n, as in homology's CoveringSpec
@@ -153,15 +151,10 @@ def cmd_gem(args):
                             "degree": spec.n, "exponents": list(spec.exponents)}
         lines.append("represents: %d-fold covering of %s, exponents %s"
                      % (spec.n, t, list(spec.exponents)))
-    genus = {}
-    for order in CYCLIC_ORDERS:
-        key = "".join(map(str, order))
-        try:
-            genus[key] = heegaard_genus(graph, order)
-        except NonIntegerGenus:
-            genus[key] = None
-    values = [v for v in genus.values() if v is not None]
-    data["genus"] = {"by_order": genus, "min": min(values) if values else None}
+    # every G(n, p, q, c, c') is bipartite, so each genus is an integer
+    genus = {"".join(map(str, order)): heegaard_genus(graph, order)
+             for order in CYCLIC_ORDERS}
+    data["genus"] = {"by_order": genus, "min": min(genus.values())}
     lines.append("heegaard genus by colour order: %s, min %s"
                  % (genus, data["genus"]["min"]))
     return 0, data, lines

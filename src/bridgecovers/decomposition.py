@@ -26,16 +26,10 @@ class LinkLDescriptor:
     d: int
     alpha1_over_beta: Fraction
     l: int
-    components: int
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive, got %d" % self.d)
-        if self.alpha1_over_beta <= 0:
-            raise ValueError("alpha_1/beta must be positive")
-        if self.components != 1 + gcd(self.d, self.l):
-            raise ValueError("component count %d disagrees with 1 + gcd(%d, %d)"
-                             % (self.components, self.d, self.l))
+    @property
+    def components(self) -> int:
+        return 1 + gcd(self.d, self.l)
 
 
 @dataclass(frozen=True)
@@ -47,19 +41,20 @@ class DecompositionResult:
     cyclic covering of the base branched over one trivial component.
     """
 
-    d: int
     upper_degree: int
-    lower_degree: int
     intermediate: LinkLDescriptor
-    base_indices: tuple
 
-    def __post_init__(self):
-        if self.lower_degree != self.d or self.intermediate.d != self.d:
-            raise ValueError("lower degree must equal d")
-        n = self.upper_degree * self.lower_degree
-        if self.base_indices != (n, self.upper_degree):
-            raise ValueError("base indices %r disagree with degrees (%d, %d)"
-                             % (self.base_indices, n, self.upper_degree))
+    @property
+    def d(self) -> int:
+        return self.intermediate.d
+
+    @property
+    def lower_degree(self) -> int:
+        return self.d
+
+    @property
+    def base_indices(self) -> tuple:
+        return (self.upper_degree * self.d, self.upper_degree)
 
     def to_json(self) -> dict:
         inter = self.intermediate
@@ -119,20 +114,8 @@ def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     if k == 0:
         raise ValueError("branching exponent must be nonzero mod n")
     d = gcd(n, k)
-    l = linking_number(t)
-    inter = LinkLDescriptor(
-        d=d,
-        alpha1_over_beta=Fraction(t.alpha // 2, t.beta),
-        l=l,
-        components=1 + gcd(d, l),
-    )
-    return DecompositionResult(
-        d=d,
-        upper_degree=n // d,
-        lower_degree=d,
-        intermediate=inter,
-        base_indices=(n, n // d),
-    )
+    inter = LinkLDescriptor(d, Fraction(t.alpha // 2, t.beta), linking_number(t))
+    return DecompositionResult(upper_degree=n // d, intermediate=inter)
 
 
 def build_monodromy(n: int, k: int) -> MonodromyRep:

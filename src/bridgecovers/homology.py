@@ -215,9 +215,6 @@ def _modular_snf(entries, cols: int) -> tuple:
     if r == 0:
         return ()
     D = abs(D)
-    if D == 1:
-        return (1,) * r
-
     half = D // 2
     def red(x):
         x %= D

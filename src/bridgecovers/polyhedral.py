@@ -36,11 +36,10 @@ class CellComplexCounts:
     t1: int
     t2: int
     t3: int
-    chi: int
 
-    def __post_init__(self):
-        if self.chi != self.t0 - self.t1 + self.t2 - self.t3:
-            raise ValueError("inconsistent Euler characteristic")
+    @property
+    def chi(self) -> int:
+        return self.t0 - self.t1 + self.t2 - self.t3
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def quotient_counts(s: MinkusSchema) -> CellComplexCounts:
     g = s._gluing
     t0, t1 = len(set(g.vertex_class)), len(g.relators)
     t2, t3 = s.n, 1
-    return CellComplexCounts(t0, t1, t2, t3, t0 - t1 + t2 - t3)
+    return CellComplexCounts(t0, t1, t2, t3)
 
 
 def schema_presentation(s: MinkusSchema) -> Presentation:

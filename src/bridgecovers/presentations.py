@@ -8,13 +8,10 @@ All three run over generators x_1..x_n with index arithmetic mod n
 from dataclasses import dataclass
 from math import gcd
 
+from .gems import eta
 from .two_bridge import NotAKnot, NotALink, TwoBridge, EvenConwayForm
 from .words import (CyclicPresentation, FreeWord, LaurentPolynomial,
                     Presentation, word)
-
-
-class BetaNotInvertible(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -23,13 +20,6 @@ class MinkusShiftData:
 
     beta_inv: int
     s: tuple
-
-    def __post_init__(self):
-        prev = 0
-        for v in self.s:
-            if v - prev not in (1, -1):
-                raise ValueError("shift increments must be +-1")
-            prev = v
 
 
 def _check_degree(n: int) -> None:
@@ -42,10 +32,9 @@ def _check_degree(n: int) -> None:
 def minkus_shift_data(t: TwoBridge) -> MinkusShiftData:
     b = t.beta % (2 * t.alpha)
     if b % 2 == 0:
-        # reorientation: the odd representative of the same covering
+        # reorientation: the odd representative of the same covering; b is
+        # then odd and, as b = beta mod alpha, a unit mod 2*alpha
         b = (b + t.alpha) % (2 * t.alpha)
-    if b % 2 == 0 or gcd(b, 2 * t.alpha) != 1:
-        raise BetaNotInvertible(str(t))
     binv = pow(b, -1, 2 * t.alpha)
     s = []
     acc = 0
@@ -88,35 +77,20 @@ def minkus_presentation(t: TwoBridge, n: int) -> Presentation:
 
 # ---- coloured-graph presentation ----
 
-def _mu(x: int, alpha: int) -> int:
-    # representative in {0..2*alpha-1}; +1 on 1..alpha
-    x %= 2 * alpha
-    return 1 if 1 <= x <= alpha else -1
+def _mu3_shifts(alpha: int, beta: int, k: int):
+    """Exponents e_j and shifts s_j, the two sums carrying different k-weights.
 
-
-def _mu3_shifts(alpha: int, beta: int, n: int, k: int):
-    """Exponents e_j and shifts s_j; valid for either parity of alpha.
-
-    For alpha odd the covering is independent of k and the shift scales as
-    s_j(k) = k * s_j(1) (the relabeling x_i -> x_{ki}); for alpha even the two
-    sums carry different k-weights.  Even beta is first traded for beta+alpha
-    (a reorientation, same covering) with k negated.
+    mu3_presentation takes links only, so alpha is even and beta is odd.
     """
-    if beta % 2 == 0:
-        beta = (beta + alpha) % (2 * alpha)
-        k = -k % n
-    e = [-_mu(2 * j * beta, alpha) for j in range(alpha)]
+    e = [-eta(2 * j * beta, alpha) for j in range(alpha)]
     s = [0] * alpha
     sa = sb = 0
     for j in range(1, alpha):
-        sa += _mu(2 * j * beta - 2 * beta - alpha, alpha)
-        sb += _mu(2 * j * beta - beta - alpha, alpha)
+        sa += eta(2 * j * beta - 2 * beta - alpha, alpha)
+        sb += eta(2 * j * beta - beta - alpha, alpha)
         bump = 1 if e[j] == -1 else 0
-        if alpha % 2 == 0:
-            s[j] = -k * sa - sb + k * bump
-        else:
-            s[j] = k * (-sa - sb + bump)
-    return k, e, s
+        s[j] = -k * sa - sb + k * bump
+    return e, s
 
 
 def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
@@ -129,7 +103,7 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     k %= n
     if k == 0:
         raise ValueError("k must be nonzero mod n")
-    k, e, s = _mu3_shifts(t.alpha, t.beta, n, k)
+    e, s = _mu3_shifts(t.alpha, t.beta, k)
     d = gcd(n, k)
     rels = []
     for i in range(1, d + 1):

@@ -152,57 +152,35 @@ def cf_expand(t: TwoBridge) -> ContinuedFraction:
     return ContinuedFraction(tuple(entries))
 
 
-def _nearest_even_quotient(a: int, b: int) -> int:
-    # even q with a = q*b + r, |r| < |b|
-    q = a // b
-    if q % 2 == 0 and abs(a - q * b) < abs(b):
-        return q
-    if (q + 1) % 2 == 0 and abs(a - (q + 1) * b) < abs(b):
-        return q + 1
-    if (q - 1) % 2 == 0 and abs(a - (q - 1) * b) < abs(b):
-        return q - 1
-    raise NoEvenRepresentative("no even quotient for %d / %d" % (a, b))
-
-
-def _even_numerator_candidates(t: TwoBridge):
-    if t.is_knot:
-        b = t.beta % t.alpha
-        bi = pow(b, -1, t.alpha)
-        return [x for x in (b, bi, b - t.alpha, bi - t.alpha) if x and x % 2 == 0]
-    # link: beta is odd already; reduce into (-alpha, alpha)
-    b = t.beta if t.beta < t.alpha else t.beta - 2 * t.alpha
-    return [b]
-
-
 def even_cf_expand(t: TwoBridge) -> EvenConwayForm:
     """All-even continued fraction of alpha over an equivalent representative.
 
-    For a knot the denominator is replaced by an even representative
-    (beta^{+-1} mod alpha, shifted by -alpha if needed); repeated
-    nearest-even division then yields even entries [-2q_1, 2s_1, ...],
-    an even count of them for knots and an odd count for links.
+    A knot's denominator is the first even one of beta, beta^{-1} mod alpha
+    and beta - alpha (beta or beta - alpha is even); a link's odd beta is
+    taken in (-alpha, alpha).  Nearest-even division then yields even
+    entries [-2q_1, 2s_1, ...]: num and den keep opposite parities, so the
+    even quotient is num // den rounded up to even, and the chain stops at
+    an even num, after an even count of entries for knots and an odd count
+    for links.
     """
-    for bp in _even_numerator_candidates(t):
-        num, den = t.alpha, bp
-        entries = []
-        try:
-            while den:
-                c = _nearest_even_quotient(num, den)
-                entries.append(c)
-                num, den = den, num - c * den
-        except NoEvenRepresentative:
-            continue
-        if t.is_knot and len(entries) % 2 == 1:
-            continue
-        if t.is_link and len(entries) % 2 == 0:
-            continue
-        q = tuple(-entries[i] // 2 for i in range(0, len(entries), 2))
-        s = tuple(entries[i] // 2 for i in range(1, len(entries), 2))
-        form = EvenConwayForm(len(q), q, s)
-        if form.value() != Fraction(t.alpha, bp):
-            raise NoEvenRepresentative("re-evaluation failed for %s" % t)
-        return form
-    raise NoEvenRepresentative(str(t))
+    if t.is_knot:
+        b = t.beta % t.alpha
+        bp = next(x for x in (b, pow(b, -1, t.alpha), b - t.alpha) if x % 2 == 0)
+    else:
+        bp = t.beta if t.beta < t.alpha else t.beta - 2 * t.alpha
+    num, den = t.alpha, bp
+    entries = []
+    while den:
+        c = num // den
+        c += c % 2
+        entries.append(c)
+        num, den = den, num - c * den
+    q = tuple(-entries[i] // 2 for i in range(0, len(entries), 2))
+    s = tuple(entries[i] // 2 for i in range(1, len(entries), 2))
+    form = EvenConwayForm(len(q), q, s)
+    if form.value() != Fraction(t.alpha, bp):
+        raise NoEvenRepresentative("re-evaluation failed for %s" % t)
+    return form
 
 
 def linking_number(t: TwoBridge) -> int:

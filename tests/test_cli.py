@@ -348,7 +348,9 @@ def test_knot_link_errors_say_what_is_wrong(capsys):
             (("present", "5", "3", "4", "--method", "mu3"),
              "error: b(5,3) is a knot; mu3 needs a 2-component link"),
             (("decompose", "5", "3", "4", "2"),
-             "error: b(5,3) is a knot; decompose needs a 2-component link")):
+             "error: b(5,3) is a knot; decompose needs a 2-component link"),
+            (("present", "8", "3", "4", "2", "--method", "takahashi"),
+             "error: b(8,3) is a 2-component link; takahashi needs a knot")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == message

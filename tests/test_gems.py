@@ -278,8 +278,17 @@ def is_bipartite(g):
 
 
 def test_bipartite():
-    for params in lm_sweep(4, 4):
-        assert is_bipartite(build_lins_mandel(params))
+    # every colour moves column j to 1 - j + 2q, 1 - j or j +- 1 mod 2p, so
+    # every G(n, p, q, c, c') is bipartite and each cyclic order of the
+    # colours gives an orientable surface: an even chi, an integer genus
+    for base in lm_sweep(5, 5):
+        for cp in range(base.n):
+            if gcd(base.n, gcd(base.c, cp)) != 1:
+                continue
+            g = build_generalized(LMParams(base.n, base.p, base.q, base.c, cp))
+            assert is_bipartite(g)
+            for order in CYCLIC_ORDERS:
+                assert isinstance(heegaard_genus(g, order), int)
     assert is_bipartite(TWO_VERTEX)
 
 

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgecovers.two_bridge import (
     BadAlpha,
@@ -112,20 +114,40 @@ def test_even_cf_expand():
     assert (f.m, f.q, f.s) == (1, (-1,), (1,))
 
 
+def check_even_form(t):
+    f = even_cf_expand(t)
+    assert all(c % 2 == 0 for c in f.entries())
+    v = f.value()
+    assert abs(v.numerator) == t.alpha
+    bp = v.denominator if v.numerator > 0 else -v.denominator
+    # the division chain stops at an even numerator: an even count of
+    # entries for a knot, an odd count for a link
+    if t.is_knot:
+        assert len(f.s) == f.m
+        assert bp % 2 == 0
+        # an even representative of beta^{+-1} mod alpha
+        assert bp % t.alpha in (t.beta % t.alpha, pow(t.beta, -1, t.alpha))
+    else:
+        assert len(f.s) == f.m - 1
+        assert bp % (2 * t.alpha) == t.beta
+
+
 def test_even_cf_expand_reevaluates():
     for t in all_forms(30):
-        f = even_cf_expand(t)
-        v = f.value()
-        assert abs(v.numerator) == t.alpha
-        bp = v.denominator if v.numerator > 0 else -v.denominator
-        if t.is_knot:
-            assert len(f.s) == f.m
-            assert bp % 2 == 0
-            # an even representative of beta^{+-1} mod alpha
-            assert bp % t.alpha in (t.beta % t.alpha, pow(t.beta, -1, t.alpha))
-        else:
-            assert len(f.s) == f.m - 1
-            assert bp % (2 * t.alpha) == t.beta
+        check_even_form(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6), st.integers(0, 2 ** 32))
+def test_even_cf_expand_reevaluates_wide(alpha, seed):
+    # beta uniform in its residues: the even form of b(alpha, +-1) has
+    # alpha - 1 entries (seconds at alpha = 10^6), and the grid of
+    # test_even_cf_expand_reevaluates covers such beta for small alpha
+    rng = random.Random(seed)
+    beta = rng.randrange(1, 2 * alpha)
+    while gcd(alpha, beta) != 1:
+        beta = rng.randrange(1, 2 * alpha)
+    check_even_form(normalize(alpha, beta))
 
 
 def test_linking_number():

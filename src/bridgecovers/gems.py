@@ -76,7 +76,7 @@ class ColouredGraph:
                     raise DegenerateInvolution("colour %d fixes vertex %d" % (c, v))
                 if not 0 <= w < v_count or inv[w] != v:
                     raise ValueError("colour %d is not an involution at vertex %d" % (c, v))
-        if len(_component(self, range(4), 0)) != v_count:
+        if _cycle_classes(self, (0, 1), (2, 3)) != 1:
             raise ValueError("graph is not connected")
 
     @property
@@ -87,8 +87,9 @@ class ColouredGraph:
     def _cycles(self) -> dict:
         """Colour pair (a < b) -> (cycle label of each vertex, cycle count).
 
-        Computed once and kept for the life of this (immutable) graph; every
-        bicoloured-cycle and residue count reads this one table.
+        Computed once, by the connectivity check at construction, and kept
+        for the life of this (immutable) graph; every bicoloured-cycle,
+        residue and component count reads this one table.
         """
         table = {}
         for a, b in combinations(range(4), 2):
@@ -175,43 +176,32 @@ def build_generalized(params: LMParams) -> ColouredGraph:
     return _build(params)
 
 
-def _component(g: ColouredGraph, colours, start: int) -> list:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for c in colours:
-            w = g.involutions[c][v]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return sorted(seen)
-
-
-def _cycle_entry(g: ColouredGraph, colours) -> tuple:
+def bicoloured_cycles(g: ColouredGraph, colours) -> list:
+    """Sorted vertex counts of the cycles spanned by two colours."""
     a, b = colours
     if a == b or not (0 <= a < 4 and 0 <= b < 4):
         raise ValueError("need two distinct colours in 0..3")
-    return g._cycles[(min(a, b), max(a, b))]
-
-
-def bicoloured_cycles(g: ColouredGraph, colours) -> list:
-    """Sorted vertex counts of the cycles spanned by two colours."""
-    label, _ = _cycle_entry(g, colours)
+    label, _ = g._cycles[(min(a, b), max(a, b))]
     return sorted(Counter(label).values())
+
+
+def _cycle_classes(g: ColouredGraph, first: tuple, second: tuple) -> int:
+    """Number of classes of the cycles of two colour pairs, joined wherever
+    they share a vertex: the components of the graph on those colours when
+    every edge lies in a cycle of one pair or the other."""
+    one, m = g._cycles[first]
+    two, k = g._cycles[second]
+    return len(set(_classes(m + k, zip(one, (m + y for y in two)))))
 
 
 def _residue_count(g: ColouredGraph, missing: int) -> int:
     """Number of components of the graph on the three colours other than
     missing.  With kept colours a < b < c, every edge of such a component
-    lies in an ab-cycle or a bc-cycle, so the components are the classes of
-    those cycles joined wherever they share a vertex."""
+    lies in an ab-cycle or a bc-cycle."""
     counts = g._residues
     if missing not in counts:
         a, b, c = (x for x in range(4) if x != missing)
-        ab, m = g._cycles[(a, b)]
-        bc, k = g._cycles[(b, c)]
-        counts[missing] = len(set(_classes(m + k, zip(ab, (m + y for y in bc)))))
+        counts[missing] = _cycle_classes(g, (a, b), (b, c))
     return counts[missing]
 
 
@@ -274,22 +264,24 @@ def represented_covering(params: LMParams):
     return t, CoveringSpec(n, (cp, -params.c % n))
 
 
-def _rooted_match(g1: ColouredGraph, g2: ColouredGraph, sigma, w0: int) -> bool:
-    # a colour-respecting map is forced once one vertex image is chosen
-    image = [-1] * g1.vertex_count
+def _rooted_match(pairs: tuple, w0: int) -> bool:
+    # a colour-respecting map is forced once one vertex image is chosen;
+    # pairs holds, per colour, the involution of g1 and its image in g2
+    image = [-1] * len(pairs[0][0])
     image[0] = w0
     stack = [0]
     while stack:
         v = stack.pop()
-        for c in range(4):
-            u = g1.involutions[c][v]
-            w = g2.involutions[sigma[c]][image[v]]
+        x = image[v]
+        for inv1, inv2 in pairs:
+            u = inv1[v]
+            w = inv2[x]
             if image[u] == -1:
                 image[u] = w
                 stack.append(u)
             elif image[u] != w:
                 return False
-    return len(set(image)) == g1.vertex_count
+    return len(set(image)) == len(image)
 
 
 def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
@@ -301,8 +293,9 @@ def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
         return False
     sigmas = permutations(range(4)) if allow_colour_permutation else ((0, 1, 2, 3),)
     for sigma in sigmas:
+        pairs = tuple(zip(g1.involutions, (g2.involutions[c] for c in sigma)))
         for w0 in range(g2.vertex_count):
-            if _rooted_match(g1, g2, sigma, w0):
+            if _rooted_match(pairs, w0):
                 return True
     return False
 
@@ -347,7 +340,8 @@ def heegaard_genus(g: ColouredGraph, pairing) -> int:
         raise ValueError("pairing must be a cyclic order of all four colours")
     chi = -g.vertex_count
     for i in range(4):
-        chi += _cycle_entry(g, (pairing[i], pairing[(i + 1) % 4]))[1]
+        a, b = pairing[i], pairing[(i + 1) % 4]
+        chi += g._cycles[(min(a, b), max(a, b))][1]
     if chi % 2:
         raise NonIntegerGenus("odd Euler characteristic %d" % chi)
     return 1 - chi // 2

@@ -68,10 +68,12 @@ class ContinuedFraction:
             raise ValueError("entries must be a nonempty sequence of nonzero integers")
 
     def value(self) -> Fraction:
-        v = Fraction(self.entries[-1])
-        for c in reversed(self.entries[:-1]):
-            v = c + 1 / v
-        return v
+        # convergents h/k by h_j = c_j h_{j-1} + h_{j-2}, in integers
+        h, h_prev, k, k_prev = 1, 0, 0, 1
+        for c in self.entries:
+            h, h_prev = c * h + h_prev, h
+            k, k_prev = c * k + k_prev, k
+        return Fraction(h, k)
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,37 @@ def test_graph_isomorphic():
     assert graph_isomorphic(g, build_lins_mandel(LMParams(3, 4, 5, 2)))
 
 
+@st.composite
+def gem_graphs(draw):
+    """A generalized Lins-Mandel graph, or a random gem on at most 12 vertices."""
+    if draw(st.booleans()):
+        return build_generalized(draw(lm_params()))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    v_count = 2 * draw(st.integers(1, 6))
+    g = _random_graph(rng, v_count)
+    while not is_gem(g):
+        g = _random_graph(rng, v_count)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(gem_graphs(), st.randoms(use_true_random=False))
+def test_graph_isomorphic_under_relabelling(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    sigma = [0, 1, 2, 3]
+    rng.shuffle(sigma)
+    moved = ColouredGraph(_relabel(g.involutions, perm))
+    assert graph_isomorphic(g, moved)
+    recoloured = ColouredGraph(_relabel(g.involutions, perm, sigma))
+    assert graph_isomorphic(g, recoloured, allow_colour_permutation=True)
+    # the verdict does not depend on which cached tables have been read
+    for h in (g, recoloured):
+        h._cycles
+        _residue_count(h, 0)
+    assert graph_isomorphic(g, recoloured, allow_colour_permutation=True)
+
+
 def test_lm_isomorphic_closed_form():
     assert lm_isomorphic_closed_form(LMParams(3, 4, 1, 1), LMParams(3, 4, 5, 2))
     assert lm_isomorphic_closed_form(LMParams(3, 8, 3, 2), LMParams(3, 8, 3, 2))
@@ -323,20 +354,75 @@ def _reference_is_gem(g):
     return True
 
 
+def _random_involutions(rng, v_count):
+    """Four random perfect matchings of 0..v_count-1."""
+    inv = []
+    for _ in range(4):
+        order = list(range(v_count))
+        rng.shuffle(order)
+        col = [0] * v_count
+        for a, b in zip(order[::2], order[1::2]):
+            col[a], col[b] = b, a
+        inv.append(tuple(col))
+    return tuple(inv)
+
+
 def _random_graph(rng, v_count):
+    # perfect matchings pass every endpoint check, so only a disconnected
+    # draw is rejected and retried
     while True:
-        inv = []
-        for _ in range(4):
-            order = list(range(v_count))
-            rng.shuffle(order)
-            col = [0] * v_count
-            for a, b in zip(order[::2], order[1::2]):
-                col[a], col[b] = b, a
-            inv.append(tuple(col))
         try:
-            return ColouredGraph(tuple(inv))
-        except ValueError:
-            continue
+            return ColouredGraph(_random_involutions(rng, v_count))
+        except ValueError as err:
+            if str(err) != "graph is not connected":
+                raise
+
+
+def _component(involutions, start):
+    """Vertices reachable from start, by search over all four colours."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for inv in involutions:
+            w = inv[v]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _relabel(involutions, perm, sigma=(0, 1, 2, 3)):
+    """The involutions with vertex v renamed perm[v] and colour c renamed sigma[c]."""
+    out = [None] * 4
+    for c, inv in enumerate(involutions):
+        col = [0] * len(inv)
+        for v, w in enumerate(inv):
+            col[perm[v]] = perm[w]
+        out[sigma[c]] = tuple(col)
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_connectivity_against_search(half, other_half, rng):
+    # a second, disjoint graph (vertex names shuffled into the first) makes
+    # the union disconnected; a single small draw is disconnected at times
+    involutions = _random_involutions(rng, 2 * half)
+    if other_half:
+        other = _random_involutions(rng, 2 * other_half)
+        union = tuple(a + tuple(w + 2 * half for w in b) for a, b in zip(involutions, other))
+        perm = list(range(2 * (half + other_half)))
+        rng.shuffle(perm)
+        involutions = _relabel(union, perm)
+    connected = len(_component(involutions, 0)) == len(involutions[0])
+    try:
+        ColouredGraph(involutions)
+    except ValueError as err:
+        assert str(err) == "graph is not connected"
+        assert not connected
+    else:
+        assert connected
 
 
 def test_cycle_table_against_search():
@@ -384,10 +470,11 @@ def test_cycle_table_is_built_once_per_graph(monkeypatch):
         heegaard_genus(g, order)
     bicoloured_cycles(g, (3, 1))
     assert built == {"_cycles": [g], "_residues": [g]}
-    assert len(union_finds) == 4  # one per missing colour
+    # one for connectivity at construction, then one per missing colour
+    assert len(union_finds) == 1 + 4
     build_lins_mandel(LMParams(5, 8, 3, 3))._cycles
     assert len(built["_cycles"]) == 2
     # a non-gem stops at its first failing colour
     union_finds.clear()
     assert not is_gem(build_lins_mandel(LMParams(3, 5, 3, 1)))
-    assert len(union_finds) < 4
+    assert len(union_finds) < 1 + 4

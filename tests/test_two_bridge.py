@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -10,6 +11,7 @@ from bridgecovers.two_bridge import (
     NonCoprime,
     NotAKnot,
     NotALink,
+    ContinuedFraction,
     TwoBridge,
     cf_expand,
     equivalent,
@@ -104,6 +106,30 @@ def test_cf_expand_value():
         assert cf_expand(t).value() == Fraction(t.alpha, b)
 
 
+def nested_value(entries):
+    """Oracle: the tower evaluated from the bottom, one Fraction per entry."""
+    v = Fraction(entries[-1])
+    for c in reversed(entries[:-1]):
+        v = c + 1 / v
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(2, 50) | st.integers(-50, -2), min_size=1, max_size=30))
+def test_value_matches_nested_fractions(entries):
+    # with every |c| >= 2 no tail of the tower vanishes, so the nested
+    # evaluation never divides by zero
+    assert ContinuedFraction(tuple(entries)).value() == nested_value(entries)
+
+
+def test_even_cf_expand_long_chain_ceiling():
+    # the even form of b(999999, 1) has 999998 entries, all re-evaluated
+    start = time.monotonic()
+    form = even_cf_expand(normalize(999999, 1))
+    assert time.monotonic() - start < 2.5
+    assert len(form.entries()) == 999998
+
+
 def test_even_cf_expand():
     f = even_cf_expand(normalize(5, 2))
     assert (f.m, f.q, f.s) == (1, (-1,), (1,))
@@ -141,8 +167,8 @@ def test_even_cf_expand_reevaluates():
 @given(st.integers(2, 10 ** 6), st.integers(0, 2 ** 32))
 def test_even_cf_expand_reevaluates_wide(alpha, seed):
     # beta uniform in its residues: the even form of b(alpha, +-1) has
-    # alpha - 1 entries (seconds at alpha = 10^6), and the grid of
-    # test_even_cf_expand_reevaluates covers such beta for small alpha
+    # alpha - 1 entries, and the grid of test_even_cf_expand_reevaluates
+    # covers such beta for small alpha
     rng = random.Random(seed)
     beta = rng.randrange(1, 2 * alpha)
     while gcd(alpha, beta) != 1:

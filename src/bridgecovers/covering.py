@@ -69,12 +69,6 @@ class CoveringClass:
     meridian: bool
     singly: bool
 
-    def __post_init__(self):
-        chain = (self.strictly, self.almost_strictly, self.meridian, self.singly)
-        for a, b in zip(chain, chain[1:]):
-            if a and not b:
-                raise ValueError("implication chain violated: %r" % (chain,))
-
 
 class GeometryType(Enum):
     hyperbolic = "hyperbolic"

@@ -96,50 +96,6 @@ class GenusOneParams(NamedTuple):
     asecond: tuple
 
 
-def _bareiss(entries, cols: int) -> tuple:
-    """Rank r and signed last pivot of fraction-free (Bareiss) elimination.
-
-    Each pivot is the first nonzero entry, in row-major order, of the block
-    not yet eliminated, moved into place by a row and a column swap.  The
-    last pivot is the leading r x r minor of the permuted matrix; times the
-    sign of the swaps it is an r x r minor of the input, and for a
-    nonsingular square input its determinant.  Every division is exact.
-    """
-    b = [list(row) for row in entries]
-    rows = len(b)
-    prev = sign = 1
-    r = 0
-    while r < min(rows, cols):
-        piv = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if b[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != r:
-            b[r], b[i0] = b[i0], b[r]
-            sign = -sign
-        if j0 != r:
-            for row in b:
-                row[r], row[j0] = row[j0], row[r]
-            sign = -sign
-        top = b[r]
-        p = top[r]
-        for i in range(r + 1, rows):
-            row = b[i]
-            x = row[r]
-            for j in range(r + 1, cols):
-                row[j] = (row[j] * p - x * top[j]) // prev
-        prev = p
-        r += 1
-    return r, sign * prev
-
-
 def _chain(xs) -> list:
     """Invariant factors of positive integers: same length and product, each
     dividing the next.  Replacing every pair i < j, in order, by (gcd, lcm)
@@ -158,114 +114,60 @@ def _chain(xs) -> list:
 def smith_normal_form(m: IntMatrix) -> tuple:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Phase 0 drops unit pivots sparsely.  Rows are kept as dicts from column
-    to nonzero entry; while some row holds a +-1, the shortest such row (to
-    limit fill-in) clears that entry's column from every other row, and the
-    pivot row and column leave the matrix.  Once the column is clear, the
-    column operations that clear the pivot row touch that row alone, so
-    SNF(M) = (1) + SNF(M') and each dropped pivot is an invariant factor 1.
-    Each entry left is +- a minor of M, a Schur complement over a pivot
-    block of determinant +-1, so Hadamard's bound limits its growth.  What
-    is left, less its zero rows and zero columns, goes to ``_modular_snf``;
-    on a matrix with no +-1 entry phase 0 does nothing.
+    One sparse elimination with Euclidean pivot steps (Cohen, GTM 138,
+    2.4) on rows kept as dicts from column to nonzero entry.  A new pivot
+    p is a +-1 on the shortest row holding one, or else the least entry of
+    the shortest row: short rows limit fill-in.  Every other row has the
+    pivot's column c reduced by q = f // p, and the least remainder left,
+    on the shortest row, is the next pivot.  Once column c is clear but
+    for p, the column operations that reduce the pivot row mod p change
+    that row alone: it leaves as the diagonal entry |p| (always, for a
+    unit), or its least entry left is the next pivot.  |p| falls until a
+    row leaves, so the loop ends.  The 1s skip the quadratic ``_chain``.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-    units = 0
-    while True:
-        piv = size = None
-        for i, r in enumerate(rows):
-            if (piv is None or len(r) < size) and (1 in r.values() or -1 in r.values()):
-                piv, size = i, len(r)
-        if piv is None:
-            break
-        top = rows.pop(piv)
-        c, p = next((j, x) for j, x in top.items() if x == 1 or x == -1)
+    rows = [r for r in ({j: x for j, x in enumerate(row) if x} for row in m.entries) if r]
+    diagonal, top = [], None
+    while rows or top:
+        if top is None:
+            piv = size = None
+            for i, r in enumerate(rows):
+                if (piv is None or len(r) < size) and (1 in r.values() or -1 in r.values()):
+                    piv, size = i, len(r)
+            if piv is None:
+                piv = min(range(len(rows)), key=lambda i: len(rows[i]))
+            top = rows.pop(piv)
+            c, p = min(top.items(), key=lambda e: abs(e[1]))
+        nxt, emptied = None, False
         for r in rows:
             f = r.get(c)
             if f:
-                f *= p  # f / p, as p = +-1
-                for j, x in top.items():
-                    y = r.get(j, 0) - f * x
-                    if y:
-                        r[j] = y
-                    else:
-                        del r[j]
-        units += 1
-    rows = [r for r in rows if r]
-    cols = sorted(set().union(*rows))
-    return (1,) * units + _modular_snf([[r.get(j, 0) for j in cols] for r in rows], len(cols))
-
-
-def _modular_snf(entries, cols: int) -> tuple:
-    """Nonzero invariant factors of a dense matrix given as rows of ints.
-
-    Plain elimination suffers catastrophic entry growth on some of the
-    circulant-like relator matrices this package produces (minutes for a
-    25x24 matrix).  Instead: get the rank r and one nonzero r x r minor D
-    by fraction-free elimination, then eliminate with every entry kept as
-    a balanced residue mod D.  That is elimination on the rows stacked over
-    D*I_cols, whose row lattice contains D*Z^cols, so the reductions are row
-    operations in disguise.  Its invariant factors are gcd(d_i, D) = d_i,
-    as d_1...d_r divides every r x r minor, followed by cols - r copies of
-    D: pivots are recovered as gcd(pivot, D), never-pivoted columns
-    contribute a factor D, and the first r of the chain are the answer.
-    """
-    rows = len(entries)
-    r, D = _bareiss(entries, cols)
-    if r == 0:
-        return ()
-    D = abs(D)
-    half = D // 2
-    def red(x):
-        x %= D
-        return x - D if x > half else x
-
-    a = [[red(x) for x in row] for row in entries]
-    out = []
-    rr = cc = 0
-    while rr < rows and cc < cols:
-        piv = None
-        for i in range(rr, rows):
-            for j in range(cc, cols):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[rr], a[i0] = a[i0], a[rr]
-        for row in a:
-            row[cc], row[j0] = row[j0], row[cc]
-        while True:
-            done = True
-            for i in range(rr + 1, rows):
-                if a[i][cc]:
-                    q = a[i][cc] // a[rr][cc]
-                    if q:
-                        for j in range(cc, cols):
-                            a[i][j] = red(a[i][j] - q * a[rr][j])
-                    if a[i][cc]:
-                        # remainder is a smaller pivot candidate
-                        a[rr], a[i] = a[i], a[rr]
-                        done = False
-            if not done:
-                continue
-            for j in range(cc + 1, cols):
-                if a[rr][j]:
-                    q = a[rr][j] // a[rr][cc]
-                    if q:
-                        for i in range(rr, rows):
-                            a[i][j] = red(a[i][j] - q * a[i][cc])
-                    if a[rr][j]:
-                        for i in range(rows):
-                            a[i][cc], a[i][j] = a[i][j], a[i][cc]
-                        done = False
-            if done:
-                break
-        out.append(gcd(a[rr][cc], D))
-        rr += 1
-        cc += 1
-    out.extend([D] * (cols - len(out)))
-    return tuple(_chain(out)[:r])
+                q = f // p
+                if q:
+                    for j, x in top.items():
+                        y = r.get(j, 0) - q * x
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+                    emptied = emptied or not r
+                f -= q * p
+                if f and (nxt is None or (abs(f), len(r)) < low):
+                    nxt, low = r, (abs(f), len(r))
+        if emptied:
+            rows = [r for r in rows if r]
+        if nxt:
+            i = rows.index(nxt)  # a row equal to nxt serves as well
+            rows[i], top = top, rows[i]
+            p = top[c]
+        else:
+            rest = {j: x % p for j, x in top.items() if x % p}
+            if rest:
+                top = {c: p, **rest}
+                c, p = min(rest.items(), key=lambda e: abs(e[1]))
+            else:
+                diagonal.append(abs(p))
+                top = None
+    return (1,) * diagonal.count(1) + tuple(_chain(d for d in diagonal if d > 1))
 
 
 def group_from_factors(rank: int, factors) -> AbelianGroup:

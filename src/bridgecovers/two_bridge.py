@@ -83,13 +83,16 @@ class EvenConwayForm:
     For a link the trailing 2*s_m entry is absent, so s has length m - 1.
     """
 
-    m: int
     q: tuple
     s: tuple
 
     def __post_init__(self):
-        if self.m < 1 or len(self.q) != self.m or len(self.s) not in (self.m, self.m - 1):
+        if not self.q or len(self.s) not in (self.m, self.m - 1):
             raise ValueError("inconsistent even form")
+
+    @property
+    def m(self) -> int:
+        return len(self.q)
 
     def entries(self) -> tuple:
         out = []
@@ -179,7 +182,7 @@ def even_cf_expand(t: TwoBridge) -> EvenConwayForm:
         num, den = den, num - c * den
     q = tuple(-entries[i] // 2 for i in range(0, len(entries), 2))
     s = tuple(entries[i] // 2 for i in range(1, len(entries), 2))
-    form = EvenConwayForm(len(q), q, s)
+    form = EvenConwayForm(q, s)
     if form.value() != Fraction(t.alpha, bp):
         raise NoEvenRepresentative("re-evaluation failed for %s" % t)
     return form

@@ -12,7 +12,6 @@ from bridgecovers.homology import (
     ROUTES,
     AbelianGroup,
     IntMatrix,
-    _bareiss,
     even_alpha_params,
     genus_one_params,
     group_from_factors,
@@ -46,6 +45,50 @@ def laplace_det(sub):
     return out
 
 
+def bareiss(entries, cols: int) -> tuple:
+    """Rank r and signed last pivot of fraction-free (Bareiss) elimination.
+
+    Each pivot is the first nonzero entry, in row-major order, of the block
+    not yet eliminated, moved into place by a row and a column swap.  The
+    last pivot is the leading r x r minor of the permuted matrix; times the
+    sign of the swaps it is an r x r minor of the input, and for a
+    nonsingular square input its determinant.  Every division is exact.
+    """
+    b = [list(row) for row in entries]
+    rows = len(b)
+    prev = sign = 1
+    r = 0
+    while r < min(rows, cols):
+        piv = None
+        for i in range(r, rows):
+            for j in range(r, cols):
+                if b[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != r:
+            b[r], b[i0] = b[i0], b[r]
+            sign = -sign
+        if j0 != r:
+            for row in b:
+                row[r], row[j0] = row[j0], row[r]
+            sign = -sign
+        top = b[r]
+        p = top[r]
+        for i in range(r + 1, rows):
+            row = b[i]
+            x = row[r]
+            for j in range(r + 1, cols):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
 def sylvester_order(delta, n):
     """Independent oracle: |det| of the Sylvester matrix of Delta and
     t^n - 1, "infinite" when it vanishes."""
@@ -54,7 +97,7 @@ def sylvester_order(delta, n):
     df, dg = len(f) - 1, len(g) - 1
     rows = [[0] * i + f + [0] * (dg - 1 - i) for i in range(dg)]
     rows += [[0] * i + g + [0] * (df - 1 - i) for i in range(df)]
-    rank, pivot = _bareiss(rows, len(rows))
+    rank, pivot = bareiss(rows, len(rows))
     return abs(pivot) if rank == len(rows) else "infinite"
 
 
@@ -114,8 +157,8 @@ dense_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
         st.lists(st.integers(-5, 5), min_size=shape[1], max_size=shape[1]),
         min_size=shape[0], max_size=shape[0]))
 
-# mostly zeros and units, so that the unit pivots of phase 0 meet fill-in
-# and the modular phase gets a core
+# mostly zeros and units, so that unit pivots meet fill-in and leave a core
+# of 2s and 3s for the Euclidean steps on non-unit pivots
 sparse_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
     lambda shape: st.lists(
         st.lists(st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3)),
@@ -126,8 +169,8 @@ sparse_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 @st.composite
 def low_rank_matrices(draw):
     """Products of rows x k and k x cols matrices with k < min(rows, cols):
-    phase 0 ends on zero rows, and the modular phase works with an r x r
-    minor of a rank-deficient core."""
+    reductions empty whole rows, which leave the row list, and the
+    elimination ends with fewer diagonal entries than rows or columns."""
     rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     k = draw(st.integers(1, min(rows, cols) - 1))
     entry = st.integers(-3, 3)
@@ -141,10 +184,13 @@ def low_rank_matrices(draw):
 
 @settings(max_examples=450, deadline=None)
 @given(st.one_of(dense_matrices, sparse_matrices, low_rank_matrices()))
-# unimodular with no +-1 entry: phase 0 drops nothing and the modular
-# elimination runs with D = 1
+# unimodular with no +-1 entry: the first pivot is a 2, and the remainder 1
+# it leaves in its column on the other row is the next pivot
 @example([[2, 3], [3, 5]])
 @example([[2, 5], [3, 7]])
+# the column of the pivot 2 is clear, and the pivot row reduced mod 2
+# keeps a 1, the next pivot
+@example([[2, 3]])
 def test_smith_vs_minors_oracle(entries):
     rows, cols = len(entries), len(entries[0])
     assert snf(entries, cols) == minors_gcd_factors(entries, rows, cols)
@@ -168,16 +214,23 @@ def test_smith_unit_block_splits_off():
         assert snf(shuffled, size) == (1,) * len(units) + snf(m, cols)
 
 
-def test_large_degree_routes_agree():
-    # b(29,12) at n = 320: 320 x 320 circulant-like relator matrices
-    t, n = normalize(29, 12), 320
+@pytest.mark.parametrize("alpha, beta, factors", [
+    (29, 12, 4),
+    # Delta = 2t^2 - 3t + 2 is not monic: the Minkus matrix holds no +-1
+    # entry, so the elimination starts on Euclidean steps
+    (7, 3, 2),
+])
+def test_large_degree_routes_agree(alpha, beta, factors):
+    # n = 320: 320 x 320 circulant-like relator matrices
+    t, n = normalize(alpha, beta), 320
     minkus = minkus_presentation(t, n)
     takahashi = takahashi_word(even_cf_expand(t), n).expand()
     start = time.monotonic()
     group = h1(minkus)
     assert h1(takahashi) == group
     assert time.monotonic() - start < 1.0
-    assert group.rank == 0 and len(group.torsion) == 4
+    assert group.rank == 0 and len(group.torsion) == factors
+    assert group.order() == order_via_resultant(alexander_polynomial(t), n)
 
 
 square_matrices = st.integers(0, 5).flatmap(
@@ -188,7 +241,7 @@ square_matrices = st.integers(0, 5).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(square_matrices)
 def test_det_against_laplace(entries):
-    rank, pivot = _bareiss(entries, len(entries))
+    rank, pivot = bareiss(entries, len(entries))
     assert (pivot if rank == len(entries) else 0) == laplace_det(entries)
 
 

@@ -90,7 +90,7 @@ def test_takahashi_figure_eight():
 
 
 def test_takahashi_trefoil_like():
-    form = EvenConwayForm(1, (1,), (1,))
+    form = EvenConwayForm((1,), (1,))
     cp = takahashi_word(form, 4)
     assert cp.w.letters == ((3, 1), (1, 1), (2, -1))
     assert cp.w.exponent_sums(4) == [1, -1, 1, 0]

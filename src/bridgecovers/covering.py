@@ -194,7 +194,8 @@ def genus_bounds(t: TwoBridge, spec: CoveringSpec) -> GenusBounds:
         general = n - 1
     braid = None
     if cls.strictly:
-        if t.beta % t.alpha in (1, t.alpha - 1):
+        # (n; 1, 1) of the link b(alpha, alpha +- 1) is (n; 1, -1) of b(alpha, 1)
+        if t.beta in (1, 2 * t.alpha - 1) or t.is_knot and t.beta % t.alpha in (1, t.alpha - 1):
             braid = min(t.alpha - 1, n - 1)
         elif t.alpha % 3 == 2 and t.alpha > 2:
             # alpha = 3c - 1 and beta equivalent to 3

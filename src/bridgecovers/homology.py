@@ -18,24 +18,25 @@ from .presentations import (
     mu3_presentation,
     takahashi_word,
 )
-from .two_bridge import TwoBridge, even_cf_expand, is_genus_one
+from .two_bridge import TwoBridge, even_cf_expand, is_genus_one, mirror, reorient_component
 from .words import LaurentPolynomial, Presentation
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix; entries are a tuple of row tuples."""
+    """Sparse integer matrix: rows are dicts from column in range(cols) to nonzero entry."""
 
-    rows: int
     cols: int
-    entries: tuple
+    entries: list
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
+        keys = set().union(*self.entries)
+        if not keys <= set(range(self.cols)) or not all(map(all, map(dict.values, self.entries))):
+            raise ValueError("rows must map columns in range(%d) to nonzero entries" % self.cols)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -115,17 +116,17 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
     One sparse elimination with Euclidean pivot steps (Cohen, GTM 138,
-    2.4) on rows kept as dicts from column to nonzero entry.  A new pivot
-    p is a +-1 on the shortest row holding one, or else the least entry of
-    the shortest row: short rows limit fill-in.  Every other row has the
-    pivot's column c reduced by q = f // p, and the least remainder left,
-    on the shortest row, is the next pivot.  Once column c is clear but
-    for p, the column operations that reduce the pivot row mod p change
-    that row alone: it leaves as the diagonal entry |p| (always, for a
-    unit), or its least entry left is the next pivot.  |p| falls until a
-    row leaves, so the loop ends.  The 1s skip the quadratic ``_chain``.
+    2.4) on copies of the sparse rows of ``m``.  A new pivot p is a +-1 on
+    the shortest row holding one, or else the least entry of the shortest
+    row: short rows limit fill-in.  Every other row has the pivot's column
+    c reduced by q = f // p, and the least remainder left, on the shortest
+    row, is the next pivot.  Once column c is clear but for p, the column
+    operations that reduce the pivot row mod p change that row alone: it
+    leaves as the diagonal entry |p| (always, for a unit), or its least
+    entry left is the next pivot.  |p| falls until a row leaves, so the
+    loop ends.  The 1s skip the quadratic ``_chain``.
     """
-    rows = [r for r in ({j: x for j, x in enumerate(row) if x} for row in m.entries) if r]
+    rows = [dict(r) for r in m.entries if r]
     diagonal, top = [], None
     while rows or top:
         if top is None:
@@ -184,8 +185,7 @@ def group_from_factors(rank: int, factors) -> AbelianGroup:
 
 def h1(p: Presentation) -> AbelianGroup:
     """Cokernel of the abelianized relator matrix."""
-    rows = p.relator_matrix()
-    factors = smith_normal_form(IntMatrix(len(rows), p.generator_count, tuple(map(tuple, rows))))
+    factors = smith_normal_form(IntMatrix(p.generator_count, p.relator_matrix()))
     return AbelianGroup(p.generator_count - len(factors),
                         tuple(d for d in factors if d > 1))
 
@@ -390,16 +390,14 @@ def _polyhedral(t, spec):
     n, k = spec.n, spec.single
     if k is None:
         return None
-    # the schema wants 0 < q < alpha odd; mirror odd-alpha data onto the odd
-    # representative, and negate k when dropping a link's beta to beta - alpha
-    # (reorienting one component flips its branching exponent)
-    q = t.beta % t.alpha
-    if t.is_knot:
-        if q % 2 == 0:
-            q = t.alpha - q
-    elif t.beta > t.alpha:
-        k = -k % n
-    return {"group": h1(schema_presentation(build_minkus(n, k, t.alpha, q))).to_json()}
+    # the schema wants 0 < q < alpha odd; reorienting a link component negates
+    # its exponent, and the coverings of a knot's mirror have the same H_1
+    if t.is_link and t.beta > t.alpha:
+        t, k = reorient_component(t), -k % n
+    if t.beta % t.alpha % 2 == 0:
+        t = mirror(t)
+    schema = build_minkus(n, k, t.alpha, t.beta % t.alpha)
+    return {"group": h1(schema_presentation(schema)).to_json()}
 
 
 def _closed_form(t, spec):

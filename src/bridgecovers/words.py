@@ -35,13 +35,6 @@ class FreeWord:
         """Index shift x_i -> x_{i+d}, residues 1..n."""
         return FreeWord(tuple(((i - 1 + d) % n + 1, e) for i, e in self.letters))
 
-    def exponent_sums(self, n: int) -> list:
-        """Index-wise exponent sums, indices wrapped to 1..n; returns n entries."""
-        out = [0] * n
-        for i, e in self.letters:
-            out[(i - 1) % n] += e
-        return out
-
     def is_empty(self) -> bool:
         return not self.letters
 
@@ -86,8 +79,16 @@ class Presentation:
                     raise ValueError("letter index %d out of range" % i)
 
     def relator_matrix(self) -> list:
-        """Abelianized relators: one row of exponent sums per relator."""
-        return [r.exponent_sums(self.generator_count) for r in self.relators]
+        """Abelianized relators: dicts from generator index (from 0) to nonzero exponent sum."""
+        rows = []
+        for r in self.relators:
+            row = {}
+            for i, e in r.letters:
+                x = row.pop(i - 1, 0) + e
+                if x:
+                    row[i - 1] = x
+            rows.append(row)
+        return rows
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,19 @@ def test_classify_record(capsys):
     assert rec["geometry"] == "spherical"
 
 
+def test_classify_braid_bound_reads_orientation(capsys):
+    # (5; 1, 1) of b(4,5) is (5; 1, -1) of b(4,1): H_1 needs 4 generators,
+    # above the braid bound min(alpha - 1, n - 1) = 3 of b(4,1) at (5; 1, 1)
+    code, rec = run_json(capsys, "homology", "4", "5", "5", "1", "--format", "json")
+    assert code == 0 and rec["agree"] is True
+    assert all(len(r["group"]["torsion"]) == 4 for r in rec["routes"])
+    code, rec = run_json(capsys, "classify", "4", "5", "5", "1", "1", "--format", "json")
+    assert code == 0
+    assert rec["genus_bounds"]["braid"] is None
+    code, rec = run_json(capsys, "classify", "4", "1", "5", "1", "1", "--format", "json")
+    assert rec["genus_bounds"]["braid"] == 3
+
+
 def test_gem_crystallization_record(capsys):
     code, rec = run_json(capsys, "gem", "5", "8", "3", "3", "1", "--format", "json")
     assert code == 0

@@ -17,6 +17,8 @@ from bridgecovers.covering import (
     hyperbolic_homeomorphic,
     lens_recognize,
 )
+from bridgecovers.homology import h1
+from bridgecovers.presentations import minkus_presentation
 from bridgecovers.two_bridge import normalize
 
 
@@ -103,6 +105,21 @@ def test_genus_bounds():
         t = normalize(alpha, 1)
         spec = CoveringSpec(3, (1,) if t.is_knot else (1, 1))
         assert genus_bounds(t, spec).braid == min(alpha - 1, 2)
+
+
+def test_braid_bound_bounds_generator_count():
+    # a genus-g splitting gives g generators of pi_1, so d(H_1) <= g
+    for alpha in range(2, 11):
+        for beta in range(1, 2 * alpha):
+            if gcd(alpha, beta) != 1:
+                continue
+            t = normalize(alpha, beta)
+            for n in range(2, 7):
+                spec = CoveringSpec(n, (1,) if t.is_knot else (1, 1))
+                braid = genus_bounds(t, spec).braid
+                if braid is not None:
+                    group = h1(minkus_presentation(t, n))
+                    assert group.rank + len(group.torsion) <= braid, (t, n)
 
 
 def test_genus_bounds_meridian_links():

@@ -118,9 +118,9 @@ def minors_gcd_factors(entries, rows, cols):
 
 
 def matrix(entries, cols=None):
-    """IntMatrix of a list of rows; cols is needed only when there are none."""
+    """IntMatrix of a list of dense rows; cols is needed only when there are none."""
     cols = len(entries[0]) if cols is None else cols
-    return IntMatrix(len(entries), cols, tuple(map(tuple, entries)))
+    return IntMatrix(cols, [{j: x for j, x in enumerate(row) if x} for row in entries])
 
 
 def test_smith_normal_form():
@@ -132,6 +132,21 @@ def test_smith_normal_form():
     assert smith_normal_form(m) == ()
     m = matrix([[2, 0], [0, 3]])
     assert smith_normal_form(m) == (1, 6)
+
+
+def test_int_matrix_rejects_bad_rows():
+    assert IntMatrix(3, [{0: 1, 2: -4}, {}]).rows == 2
+    for row in ({3: 1}, {-1: 1}, {0: 1, 1: 0}):
+        with pytest.raises(ValueError):
+            IntMatrix(3, [{0: 2}, row])
+
+
+def test_relator_rows_stay_sparse():
+    # a dense row would hold one key per generator
+    pres = minkus_presentation(normalize(29, 12), 5120)
+    rows = pres.relator_matrix()
+    assert len(rows) == len(pres.relators)
+    assert all(len(row) <= len(r.letters) for row, r in zip(rows, pres.relators))
 
 
 def test_smith_invariance():

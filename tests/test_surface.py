@@ -20,8 +20,6 @@ PAPER_RESULTS = {
     "covering_equivalent",
     # hyperbolic meridian-cyclic coverings are homeomorphic iff k' = +-k^{+-1}
     "hyperbolic_homeomorphic",
-    # reversing one component of a link gives b(alpha, beta - alpha)
-    "reorient_component",
     # the polynomial f_w(t) of a cyclic presentation G_n(w)
     "word_polynomial",
     # the face-paired ball schema: regions, vertex classes and relators

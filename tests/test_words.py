@@ -46,9 +46,10 @@ def test_shift():
 
 
 def test_exponent_sums():
-    w = word((1, 2), (2, -1), (4, 1))
-    assert w.exponent_sums(3) == [3, -1, 0]
-    assert w.exponent_sums(4) == [2, -1, 0, 1]
+    # one sparse row per relator, keyed from 0; sums that cancel leave no key
+    pres = Presentation(4, (word((1, 2), (2, -1), (4, 1), (1, 1)),
+                            word((3, 1), (2, 1), (3, -1), (2, -1)), FreeWord()))
+    assert pres.relator_matrix() == [{0: 3, 1: -1, 3: 1}, {}, {}]
 
 
 def test_format_word():
@@ -62,7 +63,7 @@ def test_presentation_json_roundtrip():
     payload = _presentation_payload(pres)
     assert json.loads(json.dumps(payload)) == payload == {
         "generators": 3, "relators": ["x1 x2^-1", "x3^2"]}
-    assert pres.relator_matrix() == [[1, -1, 0], [0, 0, 2]]
+    assert pres.relator_matrix() == [{0: 1, 1: -1}, {2: 2}]
     with pytest.raises(ValueError):
         Presentation(2, (word((3, 1)),))
 

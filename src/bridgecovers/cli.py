@@ -10,14 +10,16 @@ import argparse
 import functools
 import json
 import sys
+from itertools import combinations
 from math import gcd
 
-from .covering import CoveringSpec, classify, genus_bounds, geometry, lens_recognize
+from .covering import (CoveringSpec, classify, covering_equivalent, genus_bounds, geometry,
+                       hyperbolic_homeomorphic, lens_recognize, torus_signs)
 from .decomposition import decompose
 from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, build_generalized,
                    gem_closed_form, heegaard_genus, is_crystallization, is_gem,
                    represented_covering)
-from .homology import ROUTES, AbelianGroup, verify_consistency
+from .homology import ROUTES, AbelianGroup, consensus_group, verify_consistency
 from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
 from .presentations import minkus_presentation, mu3_presentation, takahashi_word
 from .two_bridge import (NotAKnot, cf_expand, even_cf_expand, is_genus_one,
@@ -201,6 +203,32 @@ def cmd_decompose(args):
     return 0, data, lines
 
 
+def _reproduce(rep) -> str:
+    # homology takes a link's exponents as (1, k) and a knot's as (1,)
+    argv = [rep["alpha"], rep["beta"], rep["degree"], *rep["exponents"][1:]]
+    return "  reproduce: bridgecovers homology %s" % " ".join(map(str, argv))
+
+
+def _pair_mismatches(t, reports):
+    """One record per pair of (n; 1, k) reports of the link t whose
+    consensus groups differ although an equivalence predicate accepts them."""
+    out = []
+    for a, b in combinations(reports, 2):
+        ga, gb = consensus_group(a), consensus_group(b)
+        if ga is None or gb is None or ga == gb:
+            continue
+        n, k, k2 = a["degree"], a["exponents"][1], b["exponents"][1]
+        accepted = []
+        if covering_equivalent(t, CoveringSpec(n, (1, k)), CoveringSpec(n, (1, k2))):
+            accepted.append("covering_equivalent")
+        # the homeomorphism test covers meridian-cyclic coverings of non-torus links
+        if not torus_signs(t) and gcd(n, k * k2) == 1 and hyperbolic_homeomorphic(t, n, k, k2):
+            accepted.append("hyperbolic_homeomorphic")
+        if accepted:
+            out.append({"accepted_by": accepted, "reports": [a, b]})
+    return out
+
+
 def cmd_verify(args):
     amax, nmax = args.sweep
     if amax < 2 or nmax < 2:
@@ -217,24 +245,33 @@ def cmd_verify(args):
                     specs = [CoveringSpec(n, (1,))]
                 else:
                     specs = [CoveringSpec(n, (1, k)) for k in range(1, n)]
-                for spec in specs:
-                    report = verify_consistency(t, spec)
+                reports = [verify_consistency(t, spec) for spec in specs]
+                for report in reports:
                     checked += 1
                     if report["agree"] is False:
                         mismatches.append(report)
                     elif report["agree"] is None:
                         unverified += 1
+                if t.is_link:
+                    mismatches += _pair_mismatches(t, reports)
     data = {"alpha_max": amax, "n_max": nmax, "checked": checked,
             "unverified": unverified, "mismatches": mismatches, "ok": not mismatches}
     lines = ["checked %d coverings (alpha <= %d, n <= %d)" % (checked, amax, nmax),
              "unverified: %d" % unverified]
     for rep in mismatches:
+        if "accepted_by" in rep:
+            a, b = rep["reports"]
+            lines.append("MISMATCH %s degree %d exponents %s and %s: equivalent by %s, "
+                         "but H_1 %s and %s"
+                         % (a["link"], a["degree"], a["exponents"], b["exponents"],
+                            ", ".join(rep["accepted_by"]), _group_str(consensus_group(a)),
+                            _group_str(consensus_group(b))))
+            lines += [_reproduce(a), _reproduce(b)]
+            continue
         lines.append("MISMATCH %s degree %d exponents %s: %s"
                      % (rep["link"], rep["degree"], rep["exponents"],
                         [(r["route"], r.get("group", r.get("order"))) for r in rep["routes"]]))
-        # homology takes a link's exponents as (1, k) and a knot's as (1,)
-        argv = [rep["alpha"], rep["beta"], rep["degree"], *rep["exponents"][1:]]
-        lines.append("  reproduce: bridgecovers homology %s" % " ".join(map(str, argv)))
+        lines.append(_reproduce(rep))
     lines.append("mismatches: %d" % len(mismatches))
     return (1 if mismatches else 0), data, lines
 

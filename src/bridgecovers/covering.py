@@ -103,6 +103,16 @@ def classify(spec: CoveringSpec) -> CoveringClass:
     return CoveringClass(strictly, almost, merid, singly)
 
 
+def torus_signs(t: TwoBridge) -> tuple:
+    """Signs s that make (n; k, s k) strictly cyclic on a torus knot or link:
+    (1,) for b(alpha, +-1); (-1,) for the link b(alpha, alpha +- 1), which is
+    b(alpha, 1) with one component reversed; both for Hopf; () for the rest."""
+    a, b = t.alpha, t.beta
+    if t.is_knot:
+        return (1,) if b % a in (1, a - 1) else ()
+    return tuple(s for s, bs in ((1, (1, 2 * a - 1)), (-1, (a - 1, a + 1))) if b in bs)
+
+
 def covering_equivalent(t: TwoBridge, s1: CoveringSpec, s2: CoveringSpec) -> bool:
     """Sufficient-condition test for equivalence of two coverings of a link.
 
@@ -134,8 +144,7 @@ def hyperbolic_homeomorphic(t: TwoBridge, n: int, k: int, k2: int) -> bool:
     beta^2 = alpha +- 1 mod 2 alpha.  For a knot all exponents give the same
     covering, so the answer is True.
     """
-    bmod = t.beta % t.alpha
-    if bmod in (1, t.alpha - 1):
+    if torus_signs(t):
         raise NotHyperbolic(str(t))
     if gcd(n, k) != 1 or gcd(n, k2) != 1:
         raise NotMeridianCyclic("exponents %d, %d not coprime to %d" % (k, k2, n))
@@ -152,7 +161,7 @@ def hyperbolic_homeomorphic(t: TwoBridge, n: int, k: int, k2: int) -> bool:
 def geometry(t: TwoBridge, spec: CoveringSpec) -> GeometryType:
     """Geometric structure label, where the classification decides one.
 
-    Torus-knot/link cases (beta = +-1 mod alpha) of strictly-cyclic coverings
+    Coverings that torus_signs makes strictly cyclic on a torus knot or link
     split by the sign of 1/n + 1/alpha - 1/2; non-toroidal meridian-cyclic
     coverings are hyperbolic except for the small degrees, where n = 2 gives
     lens spaces and the figure-eight degree-3 covering is euclidean.
@@ -161,8 +170,9 @@ def geometry(t: TwoBridge, spec: CoveringSpec) -> GeometryType:
     _check_components(t, spec)
     n = spec.n
     cls = classify(spec)
-    if t.beta % t.alpha in (1, t.alpha - 1):
-        if not cls.strictly:
+    signs = torus_signs(t)
+    if signs:
+        if spec.exponents[-1] not in {s * spec.exponents[0] % n for s in signs}:
             return GeometryType.undetermined
         x = Fraction(1, n) + Fraction(1, t.alpha) - Fraction(1, 2)
         if x > 0:
@@ -193,15 +203,13 @@ def genus_bounds(t: TwoBridge, spec: CoveringSpec) -> GenusBounds:
     else:
         general = n - 1
     braid = None
-    if cls.strictly:
-        # (n; 1, 1) of the link b(alpha, alpha +- 1) is (n; 1, -1) of b(alpha, 1)
-        if t.beta in (1, 2 * t.alpha - 1) or t.is_knot and t.beta % t.alpha in (1, t.alpha - 1):
-            braid = min(t.alpha - 1, n - 1)
-        elif t.alpha % 3 == 2 and t.alpha > 2:
-            # alpha = 3c - 1 and beta equivalent to 3
-            inv3 = pow(3, -1, t.alpha)
-            if t.beta % t.alpha in {3 % t.alpha, -3 % t.alpha, inv3, -inv3 % t.alpha}:
-                braid = min((t.alpha + 1) // 3, n - 1)
+    if spec.exponents[-1] in {s * spec.exponents[0] % n for s in torus_signs(t)}:
+        braid = min(t.alpha - 1, n - 1)
+    elif cls.strictly and t.alpha % 3 == 2 and t.alpha > 2:
+        # alpha = 3c - 1 and beta equivalent to 3
+        inv3 = pow(3, -1, t.alpha)
+        if t.beta % t.alpha in {3 % t.alpha, -3 % t.alpha, inv3, -inv3 % t.alpha}:
+            braid = min((t.alpha + 1) // 3, n - 1)
     symmetric = n - 1 if cls.strictly else None
     return GenusBounds(general, braid, symmetric)
 

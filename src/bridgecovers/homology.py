@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .covering import CoveringSpec, _check_components, lens_recognize
+from .covering import CoveringSpec, _check_components, lens_recognize, torus_signs
 from .polyhedral import build_minkus, schema_presentation
 from .presentations import (
     alexander_polynomial,
@@ -250,12 +250,14 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
     """The arithmetic value of H_1 when (t, spec) hits a covered case.
 
     Covered: beta = +-1 mod alpha (both parities of alpha); strictly-cyclic
-    coverings of genus-one knots; knots with alpha = 2n*beta +- 1; and the
-    meridian-cyclic coverings of b(8,3) for n >= 3.  Returns None otherwise.
+    coverings of genus-one knots; knots with alpha = 2n*b +- 1 for some
+    b = +-beta^(+-1) mod alpha; and the meridian-cyclic coverings of b(8,3)
+    for n >= 3.  Returns None otherwise.
     """
     _check_components(t, spec)
     n = spec.n
-    if t.beta % t.alpha in (1, t.alpha - 1):
+    signs = torus_signs(t)
+    if signs:
         if t.is_knot:
             d = gcd(n, t.alpha)
             if n % 2:
@@ -264,9 +266,8 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
         k = spec.single
         if k is None:
             return None
-        if t.beta in (t.alpha - 1, t.alpha + 1):
-            k = -k % n
-        return _even_alpha_group(t.alpha, n, k)
+        # (n; 1, k) here is (n; 1, s k) of b(alpha, 1)
+        return _even_alpha_group(t.alpha, n, signs[0] * k % n)
     if t.is_knot and is_genus_one(t):
         p = genus_one_params(t.alpha, n)
         if n % 2 == 0:
@@ -275,11 +276,12 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
         v = abs(p.asecond[n])
         return group_from_factors(0, [v, v])
     if t.is_knot:
-        for sign in (1, -1):
-            if (t.alpha - sign) % (2 * t.beta) == 0 and (t.alpha - sign) // (2 * t.beta) == n:
-                if n % 2 == 0:
-                    return group_from_factors(0, [t.alpha])
-                return AbelianGroup(0, ())
+        # b runs over the representatives of the knot and of its mirror
+        b, inv = t.beta % t.alpha, pow(t.beta, -1, t.alpha)
+        if any(abs(t.alpha - 2 * n * x) == 1 for x in (b, t.alpha - b, inv, t.alpha - inv)):
+            if n % 2 == 0:
+                return group_from_factors(0, [t.alpha])
+            return AbelianGroup(0, ())
     if _is_whitehead(t) and n >= 3:
         if all(gcd(n, k) == 1 for k in spec.exponents):
             return group_from_factors(0, whitehead_factors(n))
@@ -456,6 +458,13 @@ def verify_consistency(t: TwoBridge, spec: CoveringSpec, names=ROUTES) -> dict:
         "routes": routes,
         "agree": routes_agree(routes),
     }
+
+
+def consensus_group(report):
+    """The group that the group routes of a verify_consistency report give,
+    as JSON; None when they disagree or none of them applies."""
+    groups = [r["group"] for r in report["routes"] if "group" in r]
+    return groups[0] if groups and report["agree"] is not False else None
 
 
 def routes_agree(routes):

@@ -26,10 +26,7 @@ class FreeWord:
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
             return self.inverse() ** (-k)
-        out = FreeWord()
-        for _ in range(k):
-            out = out * self
-        return out
+        return FreeWord(self.letters * k)
 
     def shift(self, d: int, n: int) -> "FreeWord":
         """Index shift x_i -> x_{i+d}, residues 1..n."""

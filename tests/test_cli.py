@@ -85,11 +85,13 @@ def test_classify_braid_bound_reads_orientation(capsys):
     code, rec = run_json(capsys, "homology", "4", "5", "5", "1", "--format", "json")
     assert code == 0 and rec["agree"] is True
     assert all(len(r["group"]["torsion"]) == 4 for r in rec["routes"])
-    code, rec = run_json(capsys, "classify", "4", "5", "5", "1", "1", "--format", "json")
-    assert code == 0
-    assert rec["genus_bounds"]["braid"] is None
-    code, rec = run_json(capsys, "classify", "4", "1", "5", "1", "1", "--format", "json")
-    assert rec["genus_bounds"]["braid"] == 3
+    # each pair is one manifold, so geometry and braid bound agree within it
+    for a, b, geometry, braid in (((4, 5, 5, 1, 1), (4, 1, 5, 1, 4), "undetermined", None),
+                                  ((4, 5, 5, 1, 4), (4, 1, 5, 1, 1), "sl2r", 3)):
+        for argv in (a, b):
+            code, rec = run_json(capsys, "classify", *map(str, argv), "--format", "json")
+            assert code == 0
+            assert (rec["geometry"], rec["genus_bounds"]["braid"]) == (geometry, braid)
 
 
 def test_gem_crystallization_record(capsys):
@@ -191,6 +193,46 @@ def test_verify_mismatch_reproducers(capsys, monkeypatch):
     code, rec = run_json(capsys, "verify", "--sweep", "8", "4", "--format", "json")
     assert code == 1 and len(rec["mismatches"]) == 4
     assert all("reproduce" not in json.dumps(rep) for rep in rec["mismatches"])
+
+
+def test_verify_pair_mismatch_reproducers(capsys, monkeypatch):
+    from bridgecovers import homology
+
+    def planted(route):
+        def wrong_at_one_k(t, spec):
+            rec = route(t, spec)
+            key = (t.alpha, t.beta, spec.n, spec.exponents)
+            if rec and "group" in rec and key == (8, 3, 4, (1, 3)):
+                return {"group": {"rank": 0, "torsion": [7]}}
+            return rec
+        return wrong_at_one_k
+
+    # every route agrees on the wrong group, so only the pair check sees it:
+    # b(8,3) has beta^2 = alpha + 1 mod 2 alpha, so (4; 1, 3) is (4; 1, -1)
+    for name, route in list(homology.ROUTES.items()):
+        monkeypatch.setitem(homology.ROUTES, name, planted(route))
+    code, out, _ = run(capsys, "verify", "--sweep", "8", "4")
+    assert code == 1
+    lines = out.splitlines()
+    found = [i for i, line in enumerate(lines) if line.startswith("MISMATCH")]
+    assert len(found) == 1 and lines[-1] == "mismatches: 1"
+    i = found[0]
+    assert lines[i].startswith("MISMATCH b(8,3) degree 4 exponents [1, 1] and [1, 3]: "
+                               "equivalent by covering_equivalent, hyperbolic_homeomorphic")
+    assert lines[i + 1:i + 3] == ["  reproduce: bridgecovers homology 8 3 4 1",
+                                  "  reproduce: bridgecovers homology 8 3 4 3"]
+    # each reproducer agrees with itself, and the two groups differ
+    groups = []
+    for rep in lines[i + 1:i + 3]:
+        code, rec = run_json(capsys, *rep.split("bridgecovers ")[1].split(), "--format", "json")
+        assert code == 0 and rec["agree"] is True
+        groups.append(rec["routes"][0]["group"])
+    assert groups[0] != groups[1] and groups[1] == {"rank": 0, "torsion": [7]}
+    code, rec = run_json(capsys, "verify", "--sweep", "8", "4", "--format", "json")
+    assert code == 1 and not rec["ok"] and len(rec["mismatches"]) == 1
+    pair = rec["mismatches"][0]
+    assert pair["accepted_by"] == ["covering_equivalent", "hyperbolic_homeomorphic"]
+    assert [r["exponents"] for r in pair["reports"]] == [[1, 1], [1, 3]]
 
 
 def test_argument_errors_exit_2(capsys):

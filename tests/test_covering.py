@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from bridgecovers.covering import (
     BadNormalForm,
@@ -16,10 +16,11 @@ from bridgecovers.covering import (
     geometry,
     hyperbolic_homeomorphic,
     lens_recognize,
+    torus_signs,
 )
-from bridgecovers.homology import h1
+from bridgecovers.homology import consensus_group, h1, h1_closed_form, verify_consistency
 from bridgecovers.presentations import minkus_presentation
-from bridgecovers.two_bridge import normalize
+from bridgecovers.two_bridge import mirror, normalize, reorient_component
 
 
 def test_spec_validation():
@@ -86,6 +87,13 @@ def test_hyperbolic_homeomorphic():
         hyperbolic_homeomorphic(t, 6, 2, 4)
 
 
+def test_torus_signs():
+    assert [torus_signs(normalize(4, b)) for b in (1, 3, 5, 7)] == [(1,), (-1,), (-1,), (1,)]
+    assert torus_signs(normalize(2, 1)) == torus_signs(normalize(2, 3)) == (1, -1)
+    assert [torus_signs(normalize(5, b)) for b in (1, 2, 4, 6, 9)] == [(1,), (), (1,), (1,), (1,)]
+    assert torus_signs(normalize(8, 3)) == ()
+
+
 def test_geometry():
     assert geometry(normalize(5, 2), CoveringSpec(3, (1,))) is GeometryType.euclidean
     assert geometry(normalize(3, 1), CoveringSpec(5, (1,))) is GeometryType.spherical
@@ -94,6 +102,43 @@ def test_geometry():
     assert geometry(normalize(4, 1), CoveringSpec(4, (1, 1))) is GeometryType.nil
     assert geometry(normalize(6, 1), CoveringSpec(5, (2, 2))) is GeometryType.sl2r
     assert geometry(normalize(7, 3), CoveringSpec(2, (1,))) is GeometryType.spherical
+
+
+@st.composite
+def coverings(draw):
+    alpha = draw(st.integers(2, 20))
+    beta = draw(st.sampled_from([b for b in range(1, 2 * alpha) if gcd(alpha, b) == 1]))
+    n = draw(st.integers(2, 8))
+    return alpha, beta, n, draw(st.integers(1, n - 1))
+
+
+@seed(2408)
+@settings(max_examples=300, deadline=None)
+@example((4, 5, 5, 1))
+@example((2, 1, 3, 2))
+@example((11, 3, 2, 1))
+@given(coverings())
+def test_orientation_invariance(case):
+    # (n; 1, k) of a link is (n; 1, -k) of the link with one component
+    # reversed; a knot's coverings and its mirror's have the same invariants
+    alpha, beta, n, k = case
+    t = normalize(alpha, beta)
+    if t.is_link:
+        sides = [(t, CoveringSpec(n, (1, k))), (reorient_component(t), CoveringSpec(n, (1, -k)))]
+    else:
+        assume(gcd(n, k) == 1)
+        sides = [(t, CoveringSpec(n, (k,))), (mirror(t), CoveringSpec(n, (k,)))]
+    assert geometry(*sides[0]) is geometry(*sides[1])
+    groups = [consensus_group(verify_consistency(*side)) for side in sides]
+    assert groups[0] is not None and groups[0] == groups[1]
+    closed = [h1_closed_form(*side) for side in sides]
+    if None not in closed:
+        assert closed[0] == closed[1]
+    # d(H_1) generators fit in every Heegaard splitting that a bound claims
+    d = groups[0]["rank"] + len(groups[0]["torsion"])
+    for side in sides:
+        bounds = genus_bounds(*side)
+        assert all(g is None or d <= g for g in (bounds.general, bounds.braid, bounds.symmetric))
 
 
 def test_genus_bounds():

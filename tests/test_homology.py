@@ -12,6 +12,7 @@ from bridgecovers.homology import (
     ROUTES,
     AbelianGroup,
     IntMatrix,
+    consensus_group,
     even_alpha_params,
     genus_one_params,
     group_from_factors,
@@ -30,7 +31,7 @@ from bridgecovers.presentations import (
     mu3_presentation,
     takahashi_word,
 )
-from bridgecovers.two_bridge import even_cf_expand, normalize
+from bridgecovers.two_bridge import even_cf_expand, mirror, normalize
 from bridgecovers.words import LaurentPolynomial
 
 
@@ -351,6 +352,22 @@ def test_closed_form_examples():
     g = h1_closed_form(normalize(5, 2), CoveringSpec(3, (1,)))
     assert g == AbelianGroup(0, (4, 4))
     assert h1_closed_form(normalize(29, 12), CoveringSpec(3, (1,))) is None
+
+
+def test_closed_form_reads_mirror_knots():
+    # alpha = 2n beta +- 1, and the mirror has alpha - beta mod alpha instead
+    for alpha, beta, n in ((11, 3, 2), (13, 3, 2), (17, 3, 3), (19, 5, 2)):
+        for t in (normalize(alpha, beta), mirror(normalize(alpha, beta))):
+            closed = h1_closed_form(t, CoveringSpec(n, (1,)))
+            assert closed is not None and closed == h1(minkus_presentation(t, n)), t
+
+
+def test_consensus_group():
+    report = verify_consistency(normalize(5, 3), CoveringSpec(3, (1,)))
+    assert consensus_group(report) == {"rank": 0, "torsion": [4, 4]}
+    report["routes"][0]["group"] = {"rank": 0, "torsion": [7]}
+    report["agree"] = routes_agree(report["routes"])
+    assert report["agree"] is False and consensus_group(report) is None
 
 
 def test_even_alpha_params():

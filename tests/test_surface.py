@@ -16,10 +16,6 @@ SOURCES = sorted((ROOT / "src" / "bridgecovers").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 PAPER_RESULTS = {
-    # (n; 1, k) and (n; 1, k') are equivalent if k' = k, kk' = 1 or k' = -k
-    "covering_equivalent",
-    # hyperbolic meridian-cyclic coverings are homeomorphic iff k' = +-k^{+-1}
-    "hyperbolic_homeomorphic",
     # the polynomial f_w(t) of a cyclic presentation G_n(w)
     "word_polynomial",
     # the face-paired ball schema: regions, vertex classes and relators

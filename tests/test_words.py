@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bridgecovers.cli import _presentation_payload
 from bridgecovers.words import (
@@ -37,6 +38,18 @@ def test_power():
     assert w ** 0 == FreeWord()
     assert w ** 2 == word((1, 1), (2, -1), (1, 1), (2, -1))
     assert w ** -1 == w.inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=8),
+       st.integers(-6, 6))
+def test_power_is_repeated_product(letters, k):
+    w = FreeWord(tuple(letters))
+    factor = w if k >= 0 else w.inverse()
+    want = FreeWord()
+    for _ in range(abs(k)):
+        want = want * factor
+    assert w ** k == want
 
 
 def test_shift():

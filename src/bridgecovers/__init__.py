@@ -22,10 +22,10 @@ from .polyhedral import (MinkusSchema, build_minkus, quotient_counts,
                          schema_presentation)
 from .presentations import (alexander_polynomial, minkus_cyclic,
                             minkus_presentation, mu3_presentation,
-                            takahashi_word, word_polynomial)
+                            takahashi_word)
 from .two_bridge import (TwoBridge, cf_expand, equivalent, even_cf_expand,
                          is_genus_one, linking_number, mirror, normalize)
 from .words import (CyclicPresentation, FreeWord, LaurentPolynomial,
-                    Presentation, format_word)
+                    Presentation, format_word, word_polynomial)
 
 __version__ = "0.1.0"

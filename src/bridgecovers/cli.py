@@ -21,9 +21,10 @@ from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, build_generalized,
                    represented_covering)
 from .homology import ROUTES, AbelianGroup, consensus_group, verify_consistency
 from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
-from .presentations import minkus_presentation, mu3_presentation, takahashi_word
+from .presentations import (check_degree, minkus_presentation, mu3_presentation,
+                            takahashi_word)
 from .two_bridge import (NotAKnot, cf_expand, even_cf_expand, is_genus_one,
-                         linking_number, normalize)
+                         linking_number, normalize, reorient_component)
 from .words import format_word
 
 SCHEMA_VERSION = 1
@@ -85,23 +86,27 @@ def cmd_classify(args):
 
 def cmd_present(args):
     t = normalize(args.alpha, args.beta)
-    if args.method == "minkus":
-        pres = minkus_presentation(t, args.n)
-        if t.is_link and (args.k - 1) % args.n:
-            raise ValueError("--method minkus presents the covering with exponents (1, 1); "
-                             "use --method mu3 for k = %d" % args.k)
-    elif args.method == "mu3":
-        pres = mu3_presentation(t, args.n, args.k)
-    elif t.is_link:
+    n, k = args.n, args.k
+    if args.method == "mu3":
+        pres = mu3_presentation(t, n, k)
+    elif args.method == "takahashi" and t.is_link:
         raise NotAKnot("%s is a 2-component link; takahashi needs a knot" % t)
     else:
-        pres = takahashi_word(even_cf_expand(t), args.n).expand()
-    # a knot's exponent must generate Z_n, as in homology's CoveringSpec
-    if t.is_knot and gcd(args.n, args.k) != 1:
-        raise ValueError("exponents do not generate Z_%d" % args.n)
-    data = {"link": str(t), "degree": args.n, "method": args.method}
+        # the arguments are checked before the n relators are built
+        check_degree(n)
+        if t.is_link and (k - 1) % n:
+            raise ValueError("--method minkus presents the covering with exponents (1, 1); "
+                             "use --method mu3 for k = %d" % k)
+        # a knot's exponent must generate Z_n, as in homology's CoveringSpec
+        if t.is_knot and gcd(n, k) != 1:
+            raise ValueError("exponents do not generate Z_%d" % n)
+        if args.method == "minkus":
+            pres = minkus_presentation(t, n)
+        else:
+            pres = takahashi_word(even_cf_expand(t), n).expand()
+    data = {"link": str(t), "degree": n, "method": args.method}
     data.update(_presentation_payload(pres))
-    lines = ["%s, degree %d, %s presentation" % (t, args.n, args.method),
+    lines = ["%s, degree %d, %s presentation" % (t, n, args.method),
              "generators: %d" % pres.generator_count]
     lines += ["  %s" % r for r in data["relators"]]
     return 0, data, lines
@@ -209,13 +214,18 @@ def _reproduce(rep) -> str:
     return "  reproduce: bridgecovers homology %s" % " ".join(map(str, argv))
 
 
+def _groups_differ(a, b) -> bool:
+    """True iff both reports have a consensus group and the two differ."""
+    ga, gb = consensus_group(a), consensus_group(b)
+    return ga is not None and gb is not None and ga != gb
+
+
 def _pair_mismatches(t, reports):
     """One record per pair of (n; 1, k) reports of the link t whose
     consensus groups differ although an equivalence predicate accepts them."""
     out = []
     for a, b in combinations(reports, 2):
-        ga, gb = consensus_group(a), consensus_group(b)
-        if ga is None or gb is None or ga == gb:
+        if not _groups_differ(a, b):
             continue
         n, k, k2 = a["degree"], a["exponents"][1], b["exponents"][1]
         accepted = []
@@ -229,6 +239,14 @@ def _pair_mismatches(t, reports):
     return out
 
 
+def _reorientation_mismatches(reports, reoriented):
+    """One record per (n; 1, k) report of a link whose consensus group
+    differs from that of the (n; 1, -k) report of the link with one
+    component reversed; both lists run over k = 1 .. n - 1."""
+    return [{"accepted_by": ["reorient_component"], "reports": [a, b]}
+            for a, b in zip(reports, reversed(reoriented)) if _groups_differ(a, b)]
+
+
 def cmd_verify(args):
     amax, nmax = args.sweep
     if amax < 2 or nmax < 2:
@@ -236,7 +254,9 @@ def cmd_verify(args):
     checked = unverified = 0
     mismatches = []
     for alpha in range(2, amax + 1):
-        for beta in range(1, alpha):
+        # a link's beta counts mod 2 alpha: beta > alpha reverses one component
+        link_reports = {}
+        for beta in range(1, alpha if alpha % 2 else 2 * alpha):
             if gcd(alpha, beta) != 1:
                 continue
             t = normalize(alpha, beta)
@@ -254,6 +274,10 @@ def cmd_verify(args):
                         unverified += 1
                 if t.is_link:
                     mismatches += _pair_mismatches(t, reports)
+                    link_reports[t.beta, n] = reports
+                    if t.beta > alpha:
+                        reoriented = link_reports[reorient_component(t).beta, n]
+                        mismatches += _reorientation_mismatches(reports, reoriented)
     data = {"alpha_max": amax, "n_max": nmax, "checked": checked,
             "unverified": unverified, "mismatches": mismatches, "ok": not mismatches}
     lines = ["checked %d coverings (alpha <= %d, n <= %d)" % (checked, amax, nmax),
@@ -261,9 +285,12 @@ def cmd_verify(args):
     for rep in mismatches:
         if "accepted_by" in rep:
             a, b = rep["reports"]
+            # a reorientation pair spans two links
+            second = (b["exponents"] if b["link"] == a["link"]
+                      else "%s exponents %s" % (b["link"], b["exponents"]))
             lines.append("MISMATCH %s degree %d exponents %s and %s: equivalent by %s, "
                          "but H_1 %s and %s"
-                         % (a["link"], a["degree"], a["exponents"], b["exponents"],
+                         % (a["link"], a["degree"], a["exponents"], second,
                             ", ".join(rep["accepted_by"]), _group_str(consensus_group(a)),
                             _group_str(consensus_group(b))))
             lines += [_reproduce(a), _reproduce(b)]

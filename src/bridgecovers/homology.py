@@ -14,12 +14,13 @@ from .covering import CoveringSpec, _check_components, lens_recognize, torus_sig
 from .polyhedral import build_minkus, schema_presentation
 from .presentations import (
     alexander_polynomial,
+    minkus_cyclic,
     minkus_presentation,
     mu3_presentation,
     takahashi_word,
 )
 from .two_bridge import TwoBridge, even_cf_expand, is_genus_one, mirror, reorient_component
-from .words import LaurentPolynomial, Presentation
+from .words import CyclicPresentation, LaurentPolynomial, Presentation
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def group_from_factors(rank: int, factors) -> AbelianGroup:
     return AbelianGroup(rank, tuple(d for d in _chain(ds) if d > 1))
 
 
-def h1(p: Presentation) -> AbelianGroup:
+def h1(p: Presentation | CyclicPresentation) -> AbelianGroup:
     """Cokernel of the abelianized relator matrix."""
     factors = smith_normal_form(IntMatrix(p.generator_count, p.relator_matrix()))
     return AbelianGroup(p.generator_count - len(factors),
@@ -373,7 +374,10 @@ def order_via_resultant(delta: LaurentPolynomial, n: int):
 
 
 def _minkus(t, spec):
-    if t.is_knot or len(set(spec.exponents)) == 1:
+    # a knot's group is cyclically presented: h1 reads its rows off f_w(t)
+    if t.is_knot:
+        return {"group": h1(minkus_cyclic(t, spec.n)).to_json()}
+    if len(set(spec.exponents)) == 1:
         return {"group": h1(minkus_presentation(t, spec.n)).to_json()}
 
 
@@ -385,7 +389,7 @@ def _mu3(t, spec):
 
 def _takahashi(t, spec):
     if t.is_knot:
-        return {"group": h1(takahashi_word(even_cf_expand(t), spec.n).expand()).to_json()}
+        return {"group": h1(takahashi_word(even_cf_expand(t), spec.n)).to_json()}
 
 
 def _polyhedral(t, spec):

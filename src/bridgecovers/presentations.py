@@ -10,8 +10,7 @@ from math import gcd
 
 from .gems import eta
 from .two_bridge import NotAKnot, NotALink, TwoBridge, EvenConwayForm
-from .words import (CyclicPresentation, FreeWord, LaurentPolynomial,
-                    Presentation, word)
+from .words import CyclicPresentation, FreeWord, LaurentPolynomial, Presentation, word
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,7 @@ class MinkusShiftData:
     s: tuple
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
     if n <= 0:
         raise ValueError("covering degree must be positive, got %d" % n)
 
@@ -55,7 +54,7 @@ def _minkus_letters(t: TwoBridge) -> list:
 
 def minkus_cyclic(t: TwoBridge, n: int) -> CyclicPresentation:
     """The defining word of the cyclic presentation, indices wrapped mod n."""
-    _check_degree(n)
+    check_degree(n)
     w = FreeWord(tuple(((i - 1) % n + 1, e) for i, e in _minkus_letters(t)))
     return CyclicPresentation(n, w)
 
@@ -99,18 +98,17 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     """
     if not t.is_link:
         raise NotALink("%s is a knot; mu3 needs a 2-component link" % t)
-    _check_degree(n)
+    check_degree(n)
     k %= n
     if k == 0:
         raise ValueError("k must be nonzero mod n")
     e, s = _mu3_shifts(t.alpha, t.beta, k)
     d = gcd(n, k)
-    rels = []
-    for i in range(1, d + 1):
-        rels.append(FreeWord(tuple(((i - j * k - 1) % n + 1, 1) for j in range(n // d))))
-    for i in range(1, n + 1):
-        rels.append(FreeWord(tuple(((i + s[j] - 1) % n + 1, e[j]) for j in range(t.alpha))))
-    return Presentation(n, tuple(rels))
+    # Q_{1+i} and Q'_{1+i} are Q_1 and Q'_1 shifted by i
+    q = FreeWord(tuple((-j * k % n + 1, 1) for j in range(n // d)))
+    q_prime = FreeWord(tuple((s[j] % n + 1, e[j]) for j in range(t.alpha)))
+    return Presentation(n, tuple([q.shift(i, n) for i in range(d)]
+                                 + [q_prime.shift(i, n) for i in range(n)]))
 
 
 # ---- Takahashi presentation ----
@@ -123,7 +121,7 @@ def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
     commutes with the index shift, so only i = 1 is built."""
     if len(form.s) != form.m:
         raise NotAKnot("even form lacks the final twist parameter")
-    _check_degree(n)
+    check_degree(n)
     q, s = form.q, form.s
     d = word((1, 1))
     b = d ** q[0] * d.shift(1, n) ** (-q[0])
@@ -134,25 +132,7 @@ def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
     return CyclicPresentation(n, b.shift(1, n) ** (-sm) * d.shift(1, n) * b ** sm)
 
 
-# ---- polynomials ----
-
-def word_polynomial(cp: CyclicPresentation) -> LaurentPolynomial:
-    """f_w(t): index-wise exponent sums of the defining word, exponents taken
-    relative to the first letter's index with representatives in (-n/2, n/2],
-    so words spanning less than the index circle get n-independent output."""
-    w = cp.w
-    if w.is_empty():
-        return LaurentPolynomial()
-    n = cp.n
-    base = w.letters[0][0]
-    coeffs = {}
-    for i, e in w.letters:
-        off = (i - base) % n
-        if off > n // 2:
-            off -= n
-        coeffs[off] = coeffs.get(off, 0) + e
-    return LaurentPolynomial(coeffs)
-
+# ---- Alexander polynomial ----
 
 def alexander_polynomial(t: TwoBridge) -> LaurentPolynomial:
     """Alexander polynomial of a 2-bridge knot, via the exponent sums of the

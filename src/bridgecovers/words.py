@@ -2,7 +2,8 @@
 
 A word is a tuple of syllables (generator_index, exponent).  Construction
 merges adjacent syllables with equal index and drops zero exponents, so
-stored words are freely reduced.
+stored words are freely reduced.  Products, powers, inverses and shifts of
+reduced words merge only where two reduced parts meet.
 """
 
 from dataclasses import dataclass, field
@@ -18,25 +19,51 @@ class FreeWord:
         object.__setattr__(self, "letters", _merge(self.letters))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
+        # only the syllables where the two reduced words meet cancel or merge
+        a, b = self.letters, other.letters
+        j = 0
+        while j < len(a) and j < len(b) and a[-1 - j][0] == b[j][0]:
+            e = a[-1 - j][1] + b[j][1]
+            if e:
+                return _reduced(a[:len(a) - 1 - j] + ((b[j][0], e),) + b[j + 1:])
+            j += 1
+        return _reduced(a[:len(a) - j] + b[j:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((i, -e) for i, e in reversed(self.letters)))
+        return _reduced(tuple((i, -e) for i, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "FreeWord":
         if k < 0:
             return self.inverse() ** (-k)
-        return FreeWord(self.letters * k)
+        out, square = FreeWord(), self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
+        return out
 
     def shift(self, d: int, n: int) -> "FreeWord":
-        """Index shift x_i -> x_{i+d}, residues 1..n."""
-        return FreeWord(tuple(((i - 1 + d) % n + 1, e) for i, e in self.letters))
+        """Index shift x_i -> x_{i+d}, residues 1..n.  The shift permutes
+        1..n, so a word on those indices stays reduced; others may merge."""
+        letters = tuple([((i - 1 + d) % n + 1, e) for i, e in self.letters])
+        if all(0 < i <= n for i, _ in self.letters):
+            return _reduced(letters)
+        return FreeWord(letters)
 
     def is_empty(self) -> bool:
         return not self.letters
 
     def __str__(self):
         return format_word(self)
+
+
+def _reduced(letters) -> FreeWord:
+    """The FreeWord of letters that are already freely reduced, unmerged."""
+    w = object.__new__(FreeWord)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def _merge(letters):
@@ -95,8 +122,39 @@ class CyclicPresentation:
     n: int
     w: FreeWord
 
+    @property
+    def generator_count(self) -> int:
+        return self.n
+
     def expand(self) -> Presentation:
         return Presentation(self.n, tuple(self.w.shift(d, self.n) for d in range(self.n)))
+
+    def relator_matrix(self) -> list:
+        """The rows of ``expand().relator_matrix()``, read off f_w(t) once:
+        the relator shifted by d abelianizes to f_w(t) rotated by d columns
+        (the circulant of f_w)."""
+        n, letters = self.n, self.w.letters
+        base = letters[0][0] - 1 if letters else 0
+        row = {(base + off) % n: c for off, c in word_polynomial(self).coefficients.items()}
+        return [{(j + d) % n: c for j, c in row.items()} for d in range(n)]
+
+
+def word_polynomial(cp: CyclicPresentation) -> "LaurentPolynomial":
+    """f_w(t): index-wise exponent sums of the defining word, exponents taken
+    relative to the first letter's index with representatives in (-n/2, n/2],
+    so words spanning less than the index circle get n-independent output."""
+    w = cp.w
+    if w.is_empty():
+        return LaurentPolynomial()
+    n = cp.n
+    base = w.letters[0][0]
+    coeffs = {}
+    for i, e in w.letters:
+        off = (i - base) % n
+        if off > n // 2:
+            off -= n
+        coeffs[off] = coeffs.get(off, 0) + e
+    return LaurentPolynomial(coeffs)
 
 
 @dataclass

@@ -207,32 +207,60 @@ def test_verify_pair_mismatch_reproducers(capsys, monkeypatch):
             return rec
         return wrong_at_one_k
 
-    # every route agrees on the wrong group, so only the pair check sees it:
-    # b(8,3) has beta^2 = alpha + 1 mod 2 alpha, so (4; 1, 3) is (4; 1, -1)
+    # every route agrees on the wrong group, so only the pair checks see it:
+    # b(8,3) has beta^2 = alpha + 1 mod 2 alpha, so (4; 1, 3) is (4; 1, -1),
+    # and b(8,11), b(8,3) with one component reversed, has (4; 1, 1)
     for name, route in list(homology.ROUTES.items()):
         monkeypatch.setitem(homology.ROUTES, name, planted(route))
     code, out, _ = run(capsys, "verify", "--sweep", "8", "4")
     assert code == 1
     lines = out.splitlines()
     found = [i for i, line in enumerate(lines) if line.startswith("MISMATCH")]
-    assert len(found) == 1 and lines[-1] == "mismatches: 1"
-    i = found[0]
+    assert len(found) == 2 and lines[-1] == "mismatches: 2"
+    i, j = found
     assert lines[i].startswith("MISMATCH b(8,3) degree 4 exponents [1, 1] and [1, 3]: "
                                "equivalent by covering_equivalent, hyperbolic_homeomorphic")
     assert lines[i + 1:i + 3] == ["  reproduce: bridgecovers homology 8 3 4 1",
                                   "  reproduce: bridgecovers homology 8 3 4 3"]
-    # each reproducer agrees with itself, and the two groups differ
-    groups = []
-    for rep in lines[i + 1:i + 3]:
-        code, rec = run_json(capsys, *rep.split("bridgecovers ")[1].split(), "--format", "json")
-        assert code == 0 and rec["agree"] is True
-        groups.append(rec["routes"][0]["group"])
-    assert groups[0] != groups[1] and groups[1] == {"rank": 0, "torsion": [7]}
+    assert lines[j].startswith("MISMATCH b(8,11) degree 4 exponents [1, 1] and "
+                               "b(8,3) exponents [1, 3]: equivalent by reorient_component")
+    assert lines[j + 1:j + 3] == ["  reproduce: bridgecovers homology 8 11 4 1",
+                                  "  reproduce: bridgecovers homology 8 3 4 3"]
+    # each reproducer agrees with itself, and the two groups of a pair differ
+    for k in found:
+        groups = []
+        for rep in lines[k + 1:k + 3]:
+            argv = rep.split("bridgecovers ")[1].split()
+            code, rec = run_json(capsys, *argv, "--format", "json")
+            assert code == 0 and rec["agree"] is True
+            groups.append(rec["routes"][0]["group"])
+        assert groups[0] != groups[1] and groups[1] == {"rank": 0, "torsion": [7]}
     code, rec = run_json(capsys, "verify", "--sweep", "8", "4", "--format", "json")
-    assert code == 1 and not rec["ok"] and len(rec["mismatches"]) == 1
-    pair = rec["mismatches"][0]
+    assert code == 1 and not rec["ok"] and len(rec["mismatches"]) == 2
+    pair, reoriented = rec["mismatches"]
     assert pair["accepted_by"] == ["covering_equivalent", "hyperbolic_homeomorphic"]
     assert [r["exponents"] for r in pair["reports"]] == [[1, 1], [1, 3]]
+    assert reoriented["accepted_by"] == ["reorient_component"]
+    assert [(r["link"], r["exponents"]) for r in reoriented["reports"]] == [
+        ("b(8,11)", [1, 1]), ("b(8,3)", [1, 3])]
+
+
+def test_verify_sweeps_links_past_alpha(capsys, monkeypatch):
+    from bridgecovers import cli
+
+    seen = set()
+    real = cli.verify_consistency
+
+    def recording(t, spec):
+        seen.add((t.alpha, t.beta))
+        return real(t, spec)
+
+    monkeypatch.setattr(cli, "verify_consistency", recording)
+    code, rec = run_json(capsys, "verify", "--sweep", "6", "3", "--format", "json")
+    assert code == 0 and rec["ok"] is True
+    # links run over every beta < 2 alpha coprime to alpha, knots over beta < alpha
+    assert seen == {(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3), (4, 5), (4, 7),
+                    (5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 5), (6, 7), (6, 11)}
 
 
 def test_argument_errors_exit_2(capsys):
@@ -384,6 +412,26 @@ def test_present_bad_degree_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert "error: covering degree must be positive" in err
+
+
+def test_present_checks_arguments_before_building(capsys, monkeypatch):
+    from bridgecovers import cli
+
+    def never(*args):
+        raise AssertionError("a presentation was built for rejected arguments")
+
+    monkeypatch.setattr(cli, "minkus_presentation", never)
+    monkeypatch.setattr(cli, "takahashi_word", never)
+    for argv, message in (
+            (("present", "5", "3", "200000", "2"), "exponents do not generate Z_200000"),
+            (("present", "5", "3", "200000", "2", "--method", "takahashi"),
+             "exponents do not generate Z_200000"),
+            (("present", "4", "1", "200000", "3"), "use --method mu3 for k = 3"),
+            (("present", "5", "3", "0", "0"), "covering degree must be positive, got 0"),
+            (("present", "4", "1", "-3", "3"), "covering degree must be positive, got -3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(message), argv
 
 
 def test_present_knot_exponent_must_generate(capsys):

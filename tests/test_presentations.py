@@ -11,10 +11,9 @@ from bridgecovers.presentations import (
     minkus_shift_data,
     mu3_presentation,
     takahashi_word,
-    word_polynomial,
 )
 from bridgecovers.two_bridge import EvenConwayForm, NotAKnot, NotALink, even_cf_expand, normalize
-from bridgecovers.words import CyclicPresentation, LaurentPolynomial, word
+from bridgecovers.words import CyclicPresentation, LaurentPolynomial, word, word_polynomial
 
 from laurent import unit_equal, unit_equal_mod
 

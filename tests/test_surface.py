@@ -16,8 +16,6 @@ SOURCES = sorted((ROOT / "src" / "bridgecovers").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 PAPER_RESULTS = {
-    # the polynomial f_w(t) of a cyclic presentation G_n(w)
-    "word_polynomial",
     # the face-paired ball schema: regions, vertex classes and relators
     "schema_dump",
     # the two-coloured cycles of a gem, whose counts give its genus

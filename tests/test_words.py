@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bridgecovers.cli import _presentation_payload
 from bridgecovers.words import (
@@ -40,22 +40,53 @@ def test_power():
     assert w ** -1 == w.inverse()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=8),
-       st.integers(-6, 6))
-def test_power_is_repeated_product(letters, k):
+
+
+# indices beyond 1..n as well, so that a shift can make two syllables meet
+syllables = st.lists(st.tuples(st.integers(-2, 8), st.integers(-3, 3)), max_size=10)
+
+
+def _inverse_letters(letters):
+    return [(i, -e) for i, e in reversed(letters)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllables, syllables, syllables)
+def test_product_is_reduced_concatenation(u, v, c):
+    # a ends in c and b starts with its inverse: the junction cancels c and more
+    a = FreeWord(tuple(u + c))
+    b = FreeWord(tuple(_inverse_letters(c) + v))
+    assert a * b == FreeWord(a.letters + b.letters)
+    assert b * a == FreeWord(b.letters + a.letters)
+    assert a * a.inverse() == FreeWord()
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllables, syllables, st.integers(-6, 6))
+def test_power_is_repeated_product(u, c, k):
+    # a conjugate u c u^-1 cancels across every junction of its power
+    for letters in (c, u + c + _inverse_letters(u)):
+        w = FreeWord(tuple(letters))
+        factor = w if k >= 0 else w.inverse()
+        want = FreeWord()
+        for _ in range(abs(k)):
+            want = want * factor
+        assert w ** k == want == FreeWord(factor.letters * abs(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllables, st.integers(-20, 20), st.integers(1, 12))
+def test_shift_is_reduced_shifted_word(letters, d, n):
     w = FreeWord(tuple(letters))
-    factor = w if k >= 0 else w.inverse()
-    want = FreeWord()
-    for _ in range(abs(k)):
-        want = want * factor
-    assert w ** k == want
+    assert w.shift(d, n) == FreeWord(tuple(((i - 1 + d) % n + 1, e) for i, e in w.letters))
 
 
 def test_shift():
     w = word((1, 1), (3, -1))
     assert w.shift(1, 3) == word((2, 1), (1, -1))
     assert w.shift(3, 3) == w
+    # x_1 and x_4 are both x_1 mod 3, so they merge after the shift
+    assert word((1, 2), (4, -1), (2, 1)).shift(1, 3) == word((2, 1), (3, 1))
 
 
 def test_exponent_sums():
@@ -91,6 +122,17 @@ def test_cyclic_presentation_expand():
     assert pres.relators[0] == cp.w
     assert pres.relators[1] == word((2, 1), (3, -1))
     assert pres.relators[3] == word((4, 1), (1, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@example(1, [])
+@example(7, [])
+@given(st.integers(1, 12),
+       st.lists(st.tuples(st.integers(-15, 30), st.integers(-3, 3)), max_size=12))
+def test_cyclic_relator_matrix_is_the_expanded_one(n, letters):
+    cp = CyclicPresentation(n, FreeWord(tuple(letters)))
+    assert cp.generator_count == n
+    assert cp.relator_matrix() == cp.expand().relator_matrix()
 
 
 def test_reduction_confluent():

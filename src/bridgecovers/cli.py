@@ -375,6 +375,10 @@ def build_parser():
                    metavar=("ALPHA_MAX", "N_MAX"))
     p.set_defaults(func=cmd_verify)
 
+    # the 3.10-3.12 layout; 3.13 would put the verbs and "..." on one line
+    indent = "\n" + " " * 20
+    parser.usage = ("%(prog)s [-h] [--format {text,json}]" + indent
+                    + "{%s}" % ",".join(sub.choices) + indent + "...")
     return parser
 
 

@@ -5,8 +5,7 @@ intermediate orbifold: quotient first by the subgroup of order d = gcd(n, k)
 acting with axis the first component, leaving the link L(d, alpha_1/beta)
 with alpha_1 = alpha/2, then take the remaining meridian-cyclic covering of
 degree n/d.  This module does the arithmetic bookkeeping for that diagram
-(degrees, component counts, branching indices) together with the monodromy
-permutations that drive the orbit counts.
+(degrees, component counts, branching indices).
 """
 
 from dataclasses import dataclass
@@ -72,32 +71,6 @@ class DecompositionResult:
         }
 
 
-@dataclass(frozen=True)
-class MonodromyRep:
-    """Meridian images in the symmetric group: powers of the standard n-cycle."""
-
-    n: int
-    images: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree must be positive")
-        shifts = []
-        for perm in self.images:
-            if len(perm) != self.n or set(perm) != set(range(self.n)):
-                raise ValueError("image is not a permutation of 0..%d" % (self.n - 1))
-            s = perm[0]
-            if any(perm[i] != (i + s) % self.n for i in range(self.n)):
-                raise ValueError("image is not a power of the standard cycle")
-            shifts.append(s)
-        if gcd(self.n, *shifts) != 1:
-            raise ValueError("images generate an intransitive group")
-
-    @property
-    def shifts(self) -> tuple:
-        return tuple(perm[0] for perm in self.images)
-
-
 def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     """Factor the (n; 1, k) covering of a 2-bridge link through L(d, alpha_1/beta).
 
@@ -117,40 +90,3 @@ def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     inter = LinkLDescriptor(d, Fraction(t.alpha // 2, t.beta), linking_number(t))
     return DecompositionResult(upper_degree=n // d, intermediate=inter)
 
-
-def build_monodromy(n: int, k: int) -> MonodromyRep:
-    """Monodromy of the (n; 1, k) covering: m_1 -> sigma, m_2 -> sigma^k."""
-    sigma = tuple((i + 1) % n for i in range(n))
-    power = tuple((i + k) % n for i in range(n))
-    return MonodromyRep(n, (sigma, power))
-
-
-def _cycles(perm) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        count += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-    return count
-
-
-def component_orbit_counts(rep: MonodromyRep) -> tuple:
-    """(cycles of each meridian image, branching index of each preimage).
-
-    The cycle count of sigma^{k_j} is the number of components over the j-th
-    component of the base; each carries branching index n / (that count).
-    """
-    counts = tuple(_cycles(perm) for perm in rep.images)
-    indices = tuple(rep.n // c for c in counts)
-    return counts + (indices,)
-
-
-def orbit_genus(rep: MonodromyRep) -> int:
-    """Heegaard genus bound from the orbit data: n + 1 - sum of cycle counts."""
-    counts = tuple(_cycles(perm) for perm in rep.images)
-    return rep.n + 1 - sum(counts)

@@ -6,7 +6,6 @@ every 3-residue is a 2-sphere decides whether the graph is a gem, i.e.
 whether the associated pseudocomplex is a manifold.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -176,15 +175,6 @@ def build_generalized(params: LMParams) -> ColouredGraph:
     return _build(params)
 
 
-def bicoloured_cycles(g: ColouredGraph, colours) -> list:
-    """Sorted vertex counts of the cycles spanned by two colours."""
-    a, b = colours
-    if a == b or not (0 <= a < 4 and 0 <= b < 4):
-        raise ValueError("need two distinct colours in 0..3")
-    label, _ = g._cycles[(min(a, b), max(a, b))]
-    return sorted(Counter(label).values())
-
-
 def _cycle_classes(g: ColouredGraph, first: tuple, second: tuple) -> int:
     """Number of classes of the cycles of two colour pairs, joined wherever
     they share a vertex: the components of the graph on those colours when
@@ -287,10 +277,10 @@ def _rooted_match(pairs: tuple, w0: int) -> bool:
 def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
                      allow_colour_permutation: bool = False) -> bool:
     """Exact isomorphism decision by propagating rooted correspondences."""
-    if g1.vertex_count > 200 or g2.vertex_count > 200:
-        raise TooLarge("brute-force isomorphism capped at 200 vertices")
     if g1.vertex_count != g2.vertex_count:
         return False
+    if g1.vertex_count > 200:
+        raise TooLarge("brute-force isomorphism capped at 200 vertices")
     sigmas = permutations(range(4)) if allow_colour_permutation else ((0, 1, 2, 3),)
     for sigma in sigmas:
         pairs = tuple(zip(g1.involutions, (g2.involutions[c] for c in sigma)))

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
-from .words import FreeWord, Presentation, format_word
+from .words import FreeWord, Presentation
 
 
 class BadParams(ValueError):
@@ -59,26 +59,10 @@ class MinkusSchema:
     def edge_count(self) -> int:
         return self.n * self.p + self.n
 
-    def vertex_name(self, v: int) -> str:
-        if v == 0:
-            return "N"
-        if v == 1:
-            return "S"
-        i, t = divmod(v - 2, self.p - 1)
-        return "v(%d,%d)" % (i, t + 1)
-
-    @property
-    def regions(self) -> dict:
-        out = {}
-        for f, (verts, _) in enumerate(self._gluing.faces):
-            label = ("R'%d" if f % 2 else "R%d") % (f // 2)
-            out[label] = tuple(self.vertex_name(v) for v in verts)
-        return out
-
     @cached_property
     def _gluing(self) -> "_Gluing":
         # glued on first use and kept for the life of this (immutable) schema,
-        # so counts, relators and the dump all read one gluing
+        # so counts and relators both read one gluing
         return _glue(self)
 
 
@@ -146,11 +130,10 @@ def _classes(size: int, pairs) -> list:
 
 
 class _Gluing(NamedTuple):
-    """The quotient of a schema under R_i -> R'_{i - shift}: the faces, the
-    class of each vertex, and one relator per edge class as a tuple of
-    (generator, sign) letters."""
+    """The quotient of a schema under R_i -> R'_{i - shift}: the class of
+    each vertex, and one relator per edge class as a tuple of (generator,
+    sign) letters."""
 
-    faces: list
     vertex_class: list
     relators: list
 
@@ -200,7 +183,7 @@ def _glue(s: MinkusSchema) -> _Gluing:
                 if de == de0:
                     break
             relators.append(tuple(rel))
-    return _Gluing(faces, vertex_class, relators)
+    return _Gluing(vertex_class, relators)
 
 
 def quotient_counts(s: MinkusSchema) -> CellComplexCounts:
@@ -219,25 +202,3 @@ def schema_presentation(s: MinkusSchema) -> Presentation:
         raise NotAManifold("chi = %d" % counts.chi)
     return Presentation(s.n, tuple(FreeWord(rel) for rel in s._gluing.relators))
 
-
-def schema_dump(s: MinkusSchema) -> str:
-    """Text dump: regions, vertex classes, relators."""
-    lines = ["schema n=%d k=%d p=%d q=%d (pairing shift %d)"
-             % (s.n, s.k, s.p, s.q, s.pairing_shift)]
-    lines.append("regions:")
-    for label, verts in s.regions.items():
-        lines.append("  %s: %s" % (label, " ".join(verts)))
-    classes = {}
-    for v, root in enumerate(s._gluing.vertex_class):
-        classes.setdefault(root, []).append(s.vertex_name(v))
-    lines.append("vertex classes:")
-    for names in classes.values():
-        lines.append("  {%s}" % ", ".join(names))
-    counts = quotient_counts(s)
-    lines.append("cells: t0=%d t1=%d t2=%d t3=%d chi=%d"
-                 % (counts.t0, counts.t1, counts.t2, counts.t3, counts.chi))
-    if counts.chi == 0:
-        lines.append("relators:")
-        for rel in s._gluing.relators:
-            lines.append("  %s" % format_word(FreeWord(rel)))
-    return "\n".join(lines)

@@ -116,16 +116,12 @@ def normalize(alpha: int, beta: int) -> TwoBridge:
     return TwoBridge(alpha, b)
 
 
-def equivalent(a: TwoBridge, b: TwoBridge, oriented: bool = False) -> bool:
-    """Schubert equivalence: same alpha and beta' congruent to beta^{+-1}.
-
-    The congruence is mod alpha for knots and unoriented links, mod 2*alpha
-    for oriented links.
-    """
+def equivalent(a: TwoBridge, b: TwoBridge) -> bool:
+    """Schubert equivalence: same alpha and beta' congruent to beta^{+-1}
+    mod alpha.  Links are compared unoriented."""
     if a.alpha != b.alpha:
         return False
-    mod = 2 * a.alpha if (oriented and a.is_link) else a.alpha
-    return b.beta % mod in (a.beta % mod, pow(a.beta, -1, mod))
+    return b.beta % a.alpha in (a.beta % a.alpha, pow(a.beta, -1, a.alpha))
 
 
 def mirror(t: TwoBridge) -> TwoBridge:

@@ -55,9 +55,6 @@ class FreeWord:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def __str__(self):
-        return format_word(self)
-
 
 def _reduced(letters) -> FreeWord:
     """The FreeWord of letters that are already freely reduced, unmerged."""
@@ -187,24 +184,3 @@ class LaurentPolynomial:
         """Coefficients of the normalized polynomial from exponent 0 upward."""
         p = self.normalized()
         return [p.coefficients.get(e, 0) for e in range(p.degree() + 1)]
-
-    def __call__(self, x):
-        return sum(c * x ** e for e, c in self.coefficients.items())
-
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for e in sorted(self.coefficients, reverse=True):
-            c = self.coefficients[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                tpow = "t" if e == 1 else "t^%d" % e
-                body = tpow if mag == 1 else "%d%s" % (mag, tpow)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)

@@ -4,13 +4,7 @@ from math import gcd
 import pytest
 
 from bridgecovers.covering import CoveringSpec, genus_bounds
-from bridgecovers.decomposition import (
-    MonodromyRep,
-    build_monodromy,
-    component_orbit_counts,
-    decompose,
-    orbit_genus,
-)
+from bridgecovers.decomposition import decompose
 from bridgecovers.two_bridge import NotALink, equivalent, mirror, normalize
 
 
@@ -71,36 +65,17 @@ def test_degree_law():
                 assert result.base_indices == (n, result.upper_degree)
 
 
-def test_build_monodromy():
-    rep = build_monodromy(5, 2)
-    assert rep.images[0] == (1, 2, 3, 4, 0)
-    assert rep.images[1] == (2, 3, 4, 0, 1)
-    assert rep.shifts == (1, 2)
-    rep = build_monodromy(4, 2)
-    assert component_orbit_counts(rep) == (1, 2, (4, 2))
-    with pytest.raises(ValueError):
-        MonodromyRep(4, ((2, 3, 0, 1), (2, 3, 0, 1)))  # gcd 2: intransitive
-    with pytest.raises(ValueError):
-        MonodromyRep(3, ((1, 2, 0), (0, 2, 1)))  # not a cycle power
-
-
-def test_component_orbit_counts():
-    assert component_orbit_counts(build_monodromy(10, 5)) == (1, 5, (10, 2))
-    assert component_orbit_counts(build_monodromy(5, 2)) == (1, 1, (5, 5))
+def test_decompose_gcd_laws():
+    # one component over the first meridian, d = gcd(n, k) over the second,
+    # so the general genus bound n + 1 - (1 + d) is n - d
+    t = normalize(8, 3)
     for n in range(2, 51):
         for k in range(1, n):
-            counts = component_orbit_counts(build_monodromy(n, k))
-            assert counts[0] == 1
-            assert counts[1] == gcd(n, k)
-            assert counts[2] == (n, n // gcd(n, k))
-
-
-def test_orbit_genus_matches_bound():
-    t = normalize(8, 3)
-    for n in range(2, 21):
-        for k in range(1, n):
-            bound = genus_bounds(t, CoveringSpec(n, (1, k))).general
-            assert orbit_genus(build_monodromy(n, k)) == bound
+            d = gcd(n, k)
+            result = decompose(t, n, k)
+            assert result.d == d
+            assert result.base_indices == (n, n // d)
+            assert genus_bounds(t, CoveringSpec(n, (1, k))).general == n - d
 
 
 def test_trivial_intermediate_link():

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -15,8 +16,8 @@ from bridgecovers.gems import (
     NotAGem,
     OutOfRange,
     SPHERE,
+    TooLarge,
     _residue_count,
-    bicoloured_cycles,
     build_generalized,
     build_lins_mandel,
     eta,
@@ -140,14 +141,19 @@ def test_rejections(involutions, error, message):
     assert caught.type is error
 
 
-def test_bicoloured_cycles():
+def _cycle_sizes(g, pair):
+    """Sorted vertex counts of the bicoloured cycles of a colour pair a < b."""
+    label, count = g._cycles[pair]
+    assert sorted(set(label)) == list(range(count))
+    return sorted(Counter(label).values())
+
+
+def test_cycle_table_sizes():
     g = build_lins_mandel(LMParams(3, 5, 3, 2))
-    assert bicoloured_cycles(g, (2, 3)) == [10, 10, 10]
-    assert bicoloured_cycles(TWO_VERTEX, (0, 1)) == [2]
-    for pair in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        assert sum(bicoloured_cycles(g, pair)) == g.vertex_count
-    with pytest.raises(ValueError):
-        bicoloured_cycles(g, (1, 1))
+    assert _cycle_sizes(g, (2, 3)) == [10, 10, 10]
+    assert _cycle_sizes(TWO_VERTEX, (0, 1)) == [2]
+    for pair in combinations(range(4), 2):
+        assert sum(_cycle_sizes(g, pair)) == g.vertex_count
 
 
 def test_is_gem():
@@ -229,6 +235,17 @@ def test_graph_isomorphic():
     assert graph_isomorphic(g, g)
     assert not graph_isomorphic(g, TWO_VERTEX)
     assert graph_isomorphic(g, build_lins_mandel(LMParams(3, 4, 5, 2)))
+
+
+def test_graph_isomorphic_unequal_sizes_past_the_cap():
+    # unequal vertex counts answer False before the 200-vertex cap applies
+    big = build_lins_mandel(LMParams(101, 1, 1, 1))
+    small = build_lins_mandel(LMParams(3, 1, 1, 1))
+    assert big.vertex_count == 202
+    assert not graph_isomorphic(big, small)
+    assert not graph_isomorphic(small, big)
+    with pytest.raises(TooLarge):
+        graph_isomorphic(big, big)
 
 
 @st.composite
@@ -433,7 +450,9 @@ def test_cycle_table_against_search():
     for v_count in (2, 4, 6, 8, 10, 12) * 40:
         g = _random_graph(rng, v_count)
         for pair in combinations(range(4), 2):
-            assert bicoloured_cycles(g, pair) == sorted(map(len, _residues(g, pair)))
+            cycles = _residues(g, pair)
+            assert _cycle_sizes(g, pair) == sorted(map(len, cycles))
+            assert g._cycles[pair][1] == len(cycles)
         for missing in range(4):
             kept = [c for c in range(4) if c != missing]
             assert _residue_count(g, missing) == len(_residues(g, kept))
@@ -468,7 +487,7 @@ def test_cycle_table_is_built_once_per_graph(monkeypatch):
     assert is_gem(g) and is_crystallization(g) and is_gem(g)
     for order in CYCLIC_ORDERS:
         heegaard_genus(g, order)
-    bicoloured_cycles(g, (3, 1))
+    g._cycles[(1, 3)]
     assert built == {"_cycles": [g], "_residues": [g]}
     # one for connectivity at construction, then one per missing colour
     assert len(union_finds) == 1 + 4

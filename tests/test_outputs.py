@@ -10,7 +10,8 @@ digests it rewrites.  Rewrite the file with
     PYTHONPATH=src python tests/test_outputs.py
 
 The usage line that argparse prints before an ``error:`` line is part of
-stderr, so the terminal width is pinned.
+stderr, so the terminal width is pinned, and ``cli.build_parser`` pins the
+top-level usage text to one layout on every Python version.
 """
 
 import contextlib

@@ -11,11 +11,11 @@ from bridgecovers.polyhedral import (
     NotAManifold,
     build_minkus,
     quotient_counts,
-    schema_dump,
     schema_presentation,
 )
 from bridgecovers.presentations import minkus_presentation
 from bridgecovers.two_bridge import normalize
+from bridgecovers.words import format_word
 
 
 def test_build_validation():
@@ -35,7 +35,7 @@ def test_build_validation():
 
 def test_cell_counts():
     s = build_minkus(3, 1, 5, 3)
-    assert len(s.regions) == 2 * s.n
+    assert len(polyhedral._faces(s)) == 2 * s.n
     assert s.vertex_count == s.n * (s.p - 1) + 2
     assert s.edge_count == s.n * s.p + s.n
     counts = quotient_counts(s)
@@ -91,44 +91,52 @@ def test_schema_matches_minkus_presentation():
                 assert a == b, (n, p, q, a, b)
 
 
-def test_schema_dump():
-    text = schema_dump(build_minkus(3, 1, 5, 3))
-    assert "chi=0" in text
-    assert "relators:" in text
-    assert "R0" in text and "R'0" in text
+def _vertex_name(s, v):
+    """N, S, or v(i,t): the t-th subdivision point of semicircle i."""
+    if v < 2:
+        return "NS"[v]
+    i, t = divmod(v - 2, s.p - 1)
+    return "v(%d,%d)" % (i, t + 1)
 
 
 def test_marked_vertices():
     s = build_minkus(3, 1, 5, 3)
     # P_i is the arc endpoint q steps below N on semicircle i
     marked = [polyhedral._semicircle(s, i)[s.q] for i in range(s.n)]
-    names = [s.vertex_name(v) for v in marked]
+    names = [_vertex_name(s, v) for v in marked]
     assert names == ["v(0,3)", "v(1,3)", "v(2,3)"]
 
 
-SCHEMA_3_1_5_3 = """\
-schema n=3 k=1 p=5 q=3 (pairing shift 1)
-regions:
-  R0: N v(0,1) v(0,2) v(0,3) v(1,2) v(1,1)
-  R'0: v(0,3) v(0,4) S v(1,4) v(1,3) v(1,2)
-  R1: N v(1,1) v(1,2) v(1,3) v(2,2) v(2,1)
-  R'1: v(1,3) v(1,4) S v(2,4) v(2,3) v(2,2)
-  R2: N v(2,1) v(2,2) v(2,3) v(0,2) v(0,1)
-  R'2: v(2,3) v(2,4) S v(0,4) v(0,3) v(0,2)
-vertex classes:
-  {N, v(0,2), v(0,4), v(1,2), v(1,4), v(2,2), v(2,4)}
-  {S, v(0,1), v(0,3), v(1,1), v(1,3), v(2,1), v(2,3)}
-cells: t0=2 t1=4 t2=3 t3=1 chi=0
-relators:
-  x1 x2^-1 x1^2 x3^-1
-  x1 x3^-1 x2 x3^-2
-  x1 x3 x2
-  x1 x2^-2 x3 x2^-1"""
-
-
-def test_schema_dump_text():
-    # regions, vertex classes and relators in their established order
-    assert schema_dump(build_minkus(3, 1, 5, 3)) == SCHEMA_3_1_5_3
+def test_hantzsche_wendt_schema_content():
+    # regions, vertex classes, cells and relators in their established order
+    s = build_minkus(3, 1, 5, 3)
+    assert s.pairing_shift == 1
+    regions = {("R'%d" if f % 2 else "R%d") % (f // 2):
+               " ".join(_vertex_name(s, v) for v in verts)
+               for f, (verts, _) in enumerate(polyhedral._faces(s))}
+    assert regions == {
+        "R0": "N v(0,1) v(0,2) v(0,3) v(1,2) v(1,1)",
+        "R'0": "v(0,3) v(0,4) S v(1,4) v(1,3) v(1,2)",
+        "R1": "N v(1,1) v(1,2) v(1,3) v(2,2) v(2,1)",
+        "R'1": "v(1,3) v(1,4) S v(2,4) v(2,3) v(2,2)",
+        "R2": "N v(2,1) v(2,2) v(2,3) v(0,2) v(0,1)",
+        "R'2": "v(2,3) v(2,4) S v(0,4) v(0,3) v(0,2)",
+    }
+    classes = {}
+    for v, root in enumerate(s._gluing.vertex_class):
+        classes.setdefault(root, []).append(_vertex_name(s, v))
+    assert list(classes.values()) == [
+        ["N", "v(0,2)", "v(0,4)", "v(1,2)", "v(1,4)", "v(2,2)", "v(2,4)"],
+        ["S", "v(0,1)", "v(0,3)", "v(1,1)", "v(1,3)", "v(2,1)", "v(2,3)"],
+    ]
+    counts = quotient_counts(s)
+    assert (counts.t0, counts.t1, counts.t2, counts.t3, counts.chi) == (2, 4, 3, 1, 0)
+    assert [format_word(r) for r in schema_presentation(s).relators] == [
+        "x1 x2^-1 x1^2 x3^-1",
+        "x1 x3^-1 x2 x3^-2",
+        "x1 x3 x2",
+        "x1 x2^-2 x3 x2^-1",
+    ]
 
 
 def test_literal_shift_is_not_a_manifold():
@@ -138,9 +146,6 @@ def test_literal_shift_is_not_a_manifold():
     assert (counts.t0, counts.t1, counts.chi) == (2, 2, 4)
     with pytest.raises(NotAManifold, match="chi = 4"):
         schema_presentation(s)
-    text = schema_dump(s)
-    assert text.endswith("chi=4")
-    assert "relators:" not in text
 
 
 def test_each_call_glues_once(monkeypatch, capsys):
@@ -154,13 +159,11 @@ def test_each_call_glues_once(monkeypatch, capsys):
     monkeypatch.setattr(polyhedral, "_glue", counting)
     schema_presentation(build_minkus(3, 1, 5, 3))
     assert len(calls) == 1
-    schema_dump(build_minkus(3, 1, 5, 3))
-    assert len(calls) == 2
     assert main(["polyhedral", "3", "1", "5", "3"]) == 0
     capsys.readouterr()
-    assert len(calls) == 3
+    assert len(calls) == 2
     s = build_minkus(4, 1, 6, 1)
     quotient_counts(s)
     schema_presentation(s)
-    s.regions
-    assert len(calls) == 4
+    quotient_counts(s)
+    assert len(calls) == 3

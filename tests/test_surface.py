@@ -2,9 +2,7 @@
 
 Every public top-level function or class in ``src/bridgecovers`` and every
 public method must be named somewhere in ``src/`` or ``bench/`` besides its
-own definition and the package's ``__init__.py``.  Names in
-``PAPER_RESULTS`` implement a statement of the paper that no verb calls
-yet; they are exempt, and leave the set once something calls them.
+own definition and the package's ``__init__.py``.
 """
 
 import ast
@@ -14,19 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bridgecovers").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
-
-PAPER_RESULTS = {
-    # the face-paired ball schema: regions, vertex classes and relators
-    "schema_dump",
-    # the two-coloured cycles of a gem, whose counts give its genus
-    "bicoloured_cycles",
-    # the monodromy m_1 -> sigma, m_2 -> sigma^k of the (n; 1, k) covering
-    "build_monodromy",
-    # the branch components over each link component, with their indices
-    "component_orbit_counts",
-    # the Heegaard genus bound n + 1 - (number of branch components)
-    "orbit_genus",
-}
 
 
 def public_names():
@@ -62,11 +47,4 @@ def uncalled():
 
 
 def test_every_public_name_has_a_caller():
-    unused = {name for name in uncalled() if name[1] not in PAPER_RESULTS}
-    assert unused == set()
-
-
-def test_paper_results_are_still_uncalled():
-    # a paper result that gains a caller leaves the exempt set
-    exempt = {qualified for _, qualified in uncalled()} & PAPER_RESULTS
-    assert exempt == PAPER_RESULTS
+    assert uncalled() == set()

@@ -58,7 +58,6 @@ def test_knot_link_split():
 
 def test_equivalent():
     assert equivalent(normalize(5, 3), normalize(5, 7))
-    assert equivalent(normalize(8, 3), normalize(8, 11), oriented=True)
     assert not equivalent(normalize(5, 3), normalize(7, 3))
 
 
@@ -66,14 +65,9 @@ def test_equivalent_is_equivalence_relation():
     forms = list(all_forms(14))
     for t in forms:
         assert equivalent(t, t)
-        assert equivalent(t, t, oriented=True)
     for a in forms:
         for b in forms:
             assert equivalent(a, b) == equivalent(b, a)
-            assert equivalent(a, b, oriented=True) == equivalent(b, a, oriented=True)
-            # oriented equivalence refines unoriented
-            if equivalent(a, b, oriented=True):
-                assert equivalent(a, b)
 
 
 def test_mirror():

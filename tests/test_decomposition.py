@@ -65,17 +65,34 @@ def test_degree_law():
                 assert result.base_indices == (n, result.upper_degree)
 
 
-def test_decompose_gcd_laws():
-    # one component over the first meridian, d = gcd(n, k) over the second,
-    # so the general genus bound n + 1 - (1 + d) is n - d
+def test_decompose_degree_is_gcd():
+    # one component over the first meridian, d = gcd(n, k) over the second
+    t = normalize(8, 3)
+    assert decompose(t, 5, 2).d == 1
+    assert decompose(t, 4, 2).d == 2
+    for n in range(2, 51):
+        for k in range(1, n):
+            result = decompose(t, n, k)
+            assert result.d == gcd(n, k)
+            assert (result.upper_degree, result.lower_degree) == (n // result.d, result.d)
+
+
+def test_decompose_base_indices():
+    t = normalize(8, 3)
+    assert decompose(t, 10, 5).base_indices == (10, 2)
+    assert decompose(t, 5, 2).base_indices == (5, 5)
+    assert decompose(t, 4, 2).base_indices == (4, 2)
+    for n in range(2, 51):
+        for k in range(1, n):
+            assert decompose(t, n, k).base_indices == (n, n // gcd(n, k))
+
+
+def test_genus_bound_is_n_minus_gcd():
+    # 1 + d components upstairs, so the general genus bound n + 1 - (1 + d) is n - d
     t = normalize(8, 3)
     for n in range(2, 51):
         for k in range(1, n):
-            d = gcd(n, k)
-            result = decompose(t, n, k)
-            assert result.d == d
-            assert result.base_indices == (n, n // d)
-            assert genus_bounds(t, CoveringSpec(n, (1, k))).general == n - d
+            assert genus_bounds(t, CoveringSpec(n, (1, k))).general == n - gcd(n, k)
 
 
 def test_trivial_intermediate_link():

@@ -107,8 +107,8 @@ def test_marked_vertices():
     assert names == ["v(0,3)", "v(1,3)", "v(2,3)"]
 
 
-def test_hantzsche_wendt_schema_content():
-    # regions, vertex classes, cells and relators in their established order
+def test_hantzsche_wendt_schema_regions():
+    # the regions R_i, R'_i in their established order
     s = build_minkus(3, 1, 5, 3)
     assert s.pairing_shift == 1
     regions = {("R'%d" if f % 2 else "R%d") % (f // 2):
@@ -122,6 +122,11 @@ def test_hantzsche_wendt_schema_content():
         "R2": "N v(2,1) v(2,2) v(2,3) v(0,2) v(0,1)",
         "R'2": "v(2,3) v(2,4) S v(0,4) v(0,3) v(0,2)",
     }
+
+
+def test_hantzsche_wendt_schema_content():
+    # vertex classes, cells and relators in their established order
+    s = build_minkus(3, 1, 5, 3)
     classes = {}
     for v, root in enumerate(s._gluing.vertex_class):
         classes.setdefault(root, []).append(_vertex_name(s, v))

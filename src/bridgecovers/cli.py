@@ -20,11 +20,11 @@ from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, build_generalized,
                    gem_closed_form, heegaard_genus, is_crystallization, is_gem,
                    represented_covering)
 from .homology import ROUTES, AbelianGroup, consensus_group, verify_consistency
-from .polyhedral import NotAManifold, build_minkus, quotient_counts, schema_presentation
+from .polyhedral import build_minkus, quotient_counts, schema_presentation
 from .presentations import (check_degree, minkus_presentation, mu3_presentation,
                             takahashi_word)
-from .two_bridge import (NotAKnot, cf_expand, even_cf_expand, is_genus_one,
-                         linking_number, normalize, reorient_component)
+from .two_bridge import (cf_expand, even_cf_expand, is_genus_one, linking_number,
+                         normalize, reorient_component)
 from .words import format_word
 
 SCHEMA_VERSION = 1
@@ -90,7 +90,7 @@ def cmd_present(args):
     if args.method == "mu3":
         pres = mu3_presentation(t, n, k)
     elif args.method == "takahashi" and t.is_link:
-        raise NotAKnot("%s is a 2-component link; takahashi needs a knot" % t)
+        raise ValueError("%s is a 2-component link; takahashi needs a knot" % t)
     else:
         # the arguments are checked before the n relators are built
         check_degree(n)

@@ -13,18 +13,6 @@ from math import gcd
 from .two_bridge import TwoBridge, equivalent, normalize
 
 
-class BadNormalForm(ValueError):
-    pass
-
-
-class NotHyperbolic(ValueError):
-    pass
-
-
-class NotMeridianCyclic(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CoveringSpec:
     """Degree n plus branching exponents, one per component of the link.
@@ -122,12 +110,12 @@ def covering_equivalent(t: TwoBridge, s1: CoveringSpec, s2: CoveringSpec) -> boo
     False means no condition applies, not that the coverings differ.
     """
     if s1.n != s2.n:
-        raise BadNormalForm("specs have different degrees")
+        raise ValueError("specs have different degrees")
     for s in (s1, s2):
         if s.nu != 2 or s.exponents[0] != 1:
-            raise BadNormalForm("expected normal form (n; 1, k), got %r" % (s.exponents,))
+            raise ValueError("expected normal form (n; 1, k), got %r" % (s.exponents,))
     if not t.is_link:
-        raise BadNormalForm("%s is not a link" % t)
+        raise ValueError("%s is not a link" % t)
     n = s1.n
     k, k2 = s1.exponents[1], s2.exponents[1]
     if k2 == k or (k * k2) % n == 1:
@@ -141,21 +129,17 @@ def covering_equivalent(t: TwoBridge, s1: CoveringSpec, s2: CoveringSpec) -> boo
 def hyperbolic_homeomorphic(t: TwoBridge, n: int, k: int, k2: int) -> bool:
     """Exact homeomorphism test for meridian-cyclic coverings of a hyperbolic
     2-bridge link: k' = k^{+-1}, widened to k' = +-k^{+-1} when
-    beta^2 = alpha +- 1 mod 2 alpha.  For a knot all exponents give the same
-    covering, so the answer is True.
+    beta^2 = alpha +- 1 mod 2 alpha.  On unit exponents these are the
+    conditions of covering_equivalent, which here are also necessary.  For a
+    knot all exponents give the same covering, so the answer is True.
     """
     if torus_signs(t):
-        raise NotHyperbolic(str(t))
+        raise ValueError(str(t))
     if gcd(n, k) != 1 or gcd(n, k2) != 1:
-        raise NotMeridianCyclic("exponents %d, %d not coprime to %d" % (k, k2, n))
+        raise ValueError("exponents %d, %d not coprime to %d" % (k, k2, n))
     if t.is_knot:
         return True
-    k, k2 = k % n, k2 % n
-    if k2 in (k, pow(k, -1, n)):
-        return True
-    if (t.beta * t.beta) % (2 * t.alpha) in (t.alpha + 1, t.alpha - 1):
-        return k2 in ((-k) % n, (-pow(k, -1, n)) % n)
-    return False
+    return covering_equivalent(t, CoveringSpec(n, (1, k)), CoveringSpec(n, (1, k2)))
 
 
 def geometry(t: TwoBridge, spec: CoveringSpec) -> GeometryType:

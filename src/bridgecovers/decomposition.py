@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .two_bridge import NotALink, TwoBridge, linking_number
+from .two_bridge import TwoBridge, linking_number
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     covering and the intermediate link is t itself in its L(1, .) form.
     """
     if not t.is_link:
-        raise NotALink("%s is a knot; decompose needs a 2-component link" % t)
+        raise ValueError("%s is a knot; decompose needs a 2-component link" % t)
     if n < 2:
         raise ValueError("degree must be at least 2, got %d" % n)
     k %= n

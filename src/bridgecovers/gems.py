@@ -12,27 +12,11 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .covering import CoveringSpec
-from .polyhedral import NotAManifold, _classes
-from .two_bridge import TwoBridge, normalize
-
-
-class DegenerateInvolution(ValueError):
-    pass
-
-
-class NotAGem(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
+from .polyhedral import _classes
+from .two_bridge import normalize
 
 
 class OutOfRange(ValueError):
-    pass
-
-
-class NonIntegerGenus(ValueError):
     pass
 
 
@@ -72,7 +56,7 @@ class ColouredGraph:
                 raise ValueError("involution %d acts on a different vertex set" % c)
             for v, w in enumerate(inv):
                 if w == v:
-                    raise DegenerateInvolution("colour %d fixes vertex %d" % (c, v))
+                    raise ValueError("colour %d fixes vertex %d" % (c, v))
                 if not 0 <= w < v_count or inv[w] != v:
                     raise ValueError("colour %d is not an involution at vertex %d" % (c, v))
         if _cycle_classes(self, (0, 1), (2, 3)) != 1:
@@ -232,7 +216,7 @@ def gem_closed_form(params: LMParams) -> bool:
 def is_crystallization(g: ColouredGraph) -> bool:
     """True iff deleting any one colour leaves the graph connected."""
     if not _is_gem(g):
-        raise NotAGem("graph has a non-spherical 3-residue")
+        raise ValueError("graph has a non-spherical 3-residue")
     return all(_residue_count(g, missing) == 1 for missing in range(4))
 
 
@@ -244,7 +228,7 @@ def represented_covering(params: LMParams):
     taken mod n.
     """
     if not gem_closed_form(params):
-        raise NotAManifold("parameters fail the gem criterion")
+        raise ValueError("parameters fail the gem criterion")
     n, cp = params.n, params.cprime
     if params.p == 1 or params.c == 0 or cp == 0:
         return SPHERE
@@ -280,7 +264,7 @@ def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
     if g1.vertex_count != g2.vertex_count:
         return False
     if g1.vertex_count > 200:
-        raise TooLarge("brute-force isomorphism capped at 200 vertices")
+        raise ValueError("brute-force isomorphism capped at 200 vertices")
     sigmas = permutations(range(4)) if allow_colour_permutation else ((0, 1, 2, 3),)
     for sigma in sigmas:
         pairs = tuple(zip(g1.involutions, (g2.involutions[c] for c in sigma)))
@@ -333,6 +317,6 @@ def heegaard_genus(g: ColouredGraph, pairing) -> int:
         a, b = pairing[i], pairing[(i + 1) % 4]
         chi += g._cycles[(min(a, b), max(a, b))][1]
     if chi % 2:
-        raise NonIntegerGenus("odd Euler characteristic %d" % chi)
+        raise ValueError("odd Euler characteristic %d" % chi)
     return 1 - chi // 2
 

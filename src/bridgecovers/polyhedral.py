@@ -22,14 +22,6 @@ from typing import NamedTuple
 from .words import FreeWord, Presentation
 
 
-class BadParams(ValueError):
-    pass
-
-
-class NotAManifold(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CellComplexCounts:
     t0: int
@@ -68,11 +60,11 @@ class MinkusSchema:
 
 def build_minkus(n: int, k: int, p: int, q: int) -> MinkusSchema:
     if p < 2 or not 0 < q < p or gcd(p, q) != 1:
-        raise BadParams("need 0 < q < p coprime, got p=%r q=%r" % (p, q))
+        raise ValueError("need 0 < q < p coprime, got p=%r q=%r" % (p, q))
     if q % 2 == 0:
-        raise BadParams("q must be the odd representative, got %d" % q)
+        raise ValueError("q must be the odd representative, got %d" % q)
     if n < 2 or k % n == 0:
-        raise BadParams("need degree n >= 2 and k nonzero mod n")
+        raise ValueError("need degree n >= 2 and k nonzero mod n")
     shift = k % n if p % 2 == 0 else 1
     return MinkusSchema(n, p, q, k % n, shift)
 
@@ -199,6 +191,6 @@ def schema_presentation(s: MinkusSchema) -> Presentation:
     relator per edge class, read around the edge."""
     counts = quotient_counts(s)
     if counts.chi != 0:
-        raise NotAManifold("chi = %d" % counts.chi)
+        raise ValueError("chi = %d" % counts.chi)
     return Presentation(s.n, tuple(FreeWord(rel) for rel in s._gluing.relators))
 

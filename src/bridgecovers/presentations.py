@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .gems import eta
-from .two_bridge import NotAKnot, NotALink, TwoBridge, EvenConwayForm
+from .two_bridge import TwoBridge, EvenConwayForm
 from .words import CyclicPresentation, FreeWord, LaurentPolynomial, Presentation, word
 
 
@@ -97,7 +97,7 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     relators Q_i = prod_j x_{i-jk} and n relators Q'_i = prod_j x_{i+s_j}^{e_j}.
     """
     if not t.is_link:
-        raise NotALink("%s is a knot; mu3 needs a 2-component link" % t)
+        raise ValueError("%s is a knot; mu3 needs a 2-component link" % t)
     check_degree(n)
     k %= n
     if k == 0:
@@ -120,7 +120,7 @@ def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
     b_{i,j} = d_{i,j}^{q_j} b_{i,j-1} d_{i+1,j}^{-q_j}.  The recurrence
     commutes with the index shift, so only i = 1 is built."""
     if len(form.s) != form.m:
-        raise NotAKnot("even form lacks the final twist parameter")
+        raise ValueError("even form lacks the final twist parameter")
     check_degree(n)
     q, s = form.q, form.s
     d = word((1, 1))
@@ -139,8 +139,8 @@ def alexander_polynomial(t: TwoBridge) -> LaurentPolynomial:
     defining word with unwrapped indices; normalized to lowest exponent 0 and
     positive leading coefficient."""
     if not t.is_knot:
-        raise NotAKnot("%s is a 2-component link; the Alexander polynomial "
-                       "here needs a knot" % t)
+        raise ValueError("%s is a 2-component link; the Alexander polynomial "
+                         "here needs a knot" % t)
     coeffs = {}
     for i, e in _minkus_letters(t):
         coeffs[i] = coeffs.get(i, 0) + e

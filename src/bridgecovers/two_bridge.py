@@ -10,26 +10,6 @@ from fractions import Fraction
 from math import gcd
 
 
-class BadAlpha(ValueError):
-    pass
-
-
-class NonCoprime(ValueError):
-    pass
-
-
-class NotALink(ValueError):
-    pass
-
-
-class NotAKnot(ValueError):
-    pass
-
-
-class NoEvenRepresentative(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TwoBridge:
     """b(alpha, beta) with beta stored as the representative in [1, 2*alpha-1]."""
@@ -39,11 +19,11 @@ class TwoBridge:
 
     def __post_init__(self):
         if self.alpha <= 1:
-            raise BadAlpha("alpha must exceed 1, got %r" % (self.alpha,))
+            raise ValueError("alpha must exceed 1, got %r" % (self.alpha,))
         if not 1 <= self.beta <= 2 * self.alpha - 1:
-            raise NonCoprime("beta %r not reduced mod %d" % (self.beta, 2 * self.alpha))
+            raise ValueError("beta %r not reduced mod %d" % (self.beta, 2 * self.alpha))
         if gcd(self.alpha, self.beta) != 1:
-            raise NonCoprime("gcd(%d, %d) != 1" % (self.alpha, self.beta))
+            raise ValueError("gcd(%d, %d) != 1" % (self.alpha, self.beta))
 
     @property
     def is_knot(self) -> bool:
@@ -109,10 +89,10 @@ class EvenConwayForm:
 def normalize(alpha: int, beta: int) -> TwoBridge:
     """Reduce beta mod 2*alpha into [1, 2*alpha-1] and validate coprimality."""
     if alpha <= 1:
-        raise BadAlpha("alpha must exceed 1, got %r" % (alpha,))
+        raise ValueError("alpha must exceed 1, got %r" % (alpha,))
     b = beta % (2 * alpha)
     if gcd(alpha, b) != 1:
-        raise NonCoprime("gcd(%d, %d) != 1" % (alpha, beta))
+        raise ValueError("gcd(%d, %d) != 1" % (alpha, beta))
     return TwoBridge(alpha, b)
 
 
@@ -132,8 +112,8 @@ def mirror(t: TwoBridge) -> TwoBridge:
 def reorient_component(t: TwoBridge) -> TwoBridge:
     """Reverse the orientation of one component: b(alpha, beta - alpha)."""
     if not t.is_link:
-        raise NotALink("%s is a knot; reorienting one component needs a "
-                       "2-component link" % t)
+        raise ValueError("%s is a knot; reorienting one component needs a "
+                         "2-component link" % t)
     return normalize(t.alpha, t.beta - t.alpha)
 
 
@@ -180,14 +160,14 @@ def even_cf_expand(t: TwoBridge) -> EvenConwayForm:
     s = tuple(entries[i] // 2 for i in range(1, len(entries), 2))
     form = EvenConwayForm(q, s)
     if form.value() != Fraction(t.alpha, bp):
-        raise NoEvenRepresentative("re-evaluation failed for %s" % t)
+        raise ValueError("re-evaluation failed for %s" % t)
     return form
 
 
 def linking_number(t: TwoBridge) -> int:
     """Linking number of the two components: sum of (-1)^[(2h-1) beta / alpha]."""
     if not t.is_link:
-        raise NotALink("%s is a knot; the linking number needs a 2-component link" % t)
+        raise ValueError("%s is a knot; the linking number needs a 2-component link" % t)
     return sum((-1) ** (((2 * h - 1) * t.beta) // t.alpha) for h in range(1, t.alpha // 2 + 1))
 
 
@@ -198,7 +178,7 @@ def is_genus_one(t: TwoBridge) -> bool:
     divisibility of (alpha - 1)/4 or (alpha + 1)/4 (by alpha mod 4) by beta/2.
     """
     if not t.is_knot:
-        raise NotAKnot("%s is a 2-component link; the genus-one test needs a knot" % t)
+        raise ValueError("%s is a 2-component link; the genus-one test needs a knot" % t)
     target = (t.alpha - 1) // 4 if t.alpha % 4 == 1 else (t.alpha + 1) // 4
     b = t.beta % t.alpha
     for x in (b, pow(b, -1, t.alpha)):

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from bridgecovers.covering import (
-    BadNormalForm,
     CoveringSpec,
     GenusBounds,
     GeometryType,
-    NotHyperbolic,
-    NotMeridianCyclic,
     classify,
     covering_equivalent,
     genus_bounds,
@@ -68,11 +65,11 @@ def test_covering_equivalent():
     assert covering_equivalent(t, CoveringSpec(5, (1, 2)), CoveringSpec(5, (1, 2)))
     # beta^2 = alpha + 1 branch: k -> -k
     assert covering_equivalent(t, CoveringSpec(5, (1, 2)), CoveringSpec(5, (1, 3)))
-    with pytest.raises(BadNormalForm):
+    with pytest.raises(ValueError, match=r"^expected normal form \(n; 1, k\), got \(2, 2\)$"):
         covering_equivalent(t, CoveringSpec(5, (2, 2)), CoveringSpec(5, (1, 2)))
-    with pytest.raises(BadNormalForm):
+    with pytest.raises(ValueError, match=r"^specs have different degrees$"):
         covering_equivalent(t, CoveringSpec(5, (1, 2)), CoveringSpec(6, (1, 5)))
-    with pytest.raises(BadNormalForm):
+    with pytest.raises(ValueError, match=r"^b\(5,3\) is not a link$"):
         covering_equivalent(normalize(5, 3), CoveringSpec(5, (1, 2)), CoveringSpec(5, (1, 2)))
 
 
@@ -81,10 +78,33 @@ def test_hyperbolic_homeomorphic():
     assert hyperbolic_homeomorphic(t, 7, 2, 4)
     assert hyperbolic_homeomorphic(t, 7, 2, 5)
     assert not hyperbolic_homeomorphic(normalize(12, 5), 7, 2, 5)
-    with pytest.raises(NotHyperbolic):
+    with pytest.raises(ValueError, match=r"^b\(4,1\)$"):
         hyperbolic_homeomorphic(normalize(4, 1), 7, 2, 4)
-    with pytest.raises(NotMeridianCyclic):
+    with pytest.raises(ValueError, match=r"^exponents 2, 4 not coprime to 6$"):
         hyperbolic_homeomorphic(t, 6, 2, 4)
+
+
+def test_hyperbolic_homeomorphic_agrees_with_covering_equivalent():
+    # on unit exponents of non-torus links both accept k' = k^{+-1}, widened
+    # to +-k^{+-1} when beta^2 = alpha +- 1 mod 2 alpha
+    for alpha in range(4, 21, 2):
+        for beta in range(1, 2 * alpha, 2):
+            if gcd(alpha, beta) != 1:
+                continue
+            t = normalize(alpha, beta)
+            if torus_signs(t):
+                continue
+            widened = beta * beta % (2 * alpha) in (alpha - 1, alpha + 1)
+            for n in range(2, 12):
+                units = [k for k in range(1, n) if gcd(n, k) == 1]
+                for k in units:
+                    rule = {k, pow(k, -1, n)}
+                    if widened:
+                        rule |= {-x % n for x in rule}
+                    for k2 in units:
+                        spec, spec2 = CoveringSpec(n, (1, k)), CoveringSpec(n, (1, k2))
+                        assert covering_equivalent(t, spec, spec2) == (k2 in rule)
+                        assert hyperbolic_homeomorphic(t, n, k, k2) == (k2 in rule)
 
 
 def test_torus_signs():

@@ -6,9 +6,7 @@ from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers import polyhedral
 from bridgecovers.cli import main
 from bridgecovers.polyhedral import (
-    BadParams,
     MinkusSchema,
-    NotAManifold,
     build_minkus,
     quotient_counts,
     schema_presentation,
@@ -21,16 +19,16 @@ from bridgecovers.words import format_word
 def test_build_validation():
     s = build_minkus(3, 1, 5, 3)
     assert (s.n, s.k, s.p, s.q) == (3, 1, 5, 3)
-    with pytest.raises(BadParams):
-        build_minkus(3, 1, 5, 2)  # q must be odd
-    with pytest.raises(BadParams):
-        build_minkus(3, 1, 6, 3)  # gcd(p, q) != 1
-    with pytest.raises(BadParams):
-        build_minkus(3, 1, 5, 7)  # q out of range
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match=r"^q must be the odd representative, got 2$"):
+        build_minkus(3, 1, 5, 2)
+    with pytest.raises(ValueError, match=r"^need 0 < q < p coprime, got p=6 q=3$"):
+        build_minkus(3, 1, 6, 3)
+    with pytest.raises(ValueError, match=r"^need 0 < q < p coprime, got p=5 q=7$"):
+        build_minkus(3, 1, 5, 7)
+    with pytest.raises(ValueError, match=r"^need degree n >= 2 and k nonzero mod n$"):
         build_minkus(1, 1, 5, 3)
-    with pytest.raises(BadParams):
-        build_minkus(3, 3, 5, 3)  # k = 0 mod n
+    with pytest.raises(ValueError, match=r"^need degree n >= 2 and k nonzero mod n$"):
+        build_minkus(3, 3, 5, 3)
 
 
 def test_cell_counts():
@@ -149,7 +147,7 @@ def test_literal_shift_is_not_a_manifold():
     s = MinkusSchema(5, 5, 3, 2, 2)
     counts = quotient_counts(s)
     assert (counts.t0, counts.t1, counts.chi) == (2, 2, 4)
-    with pytest.raises(NotAManifold, match="chi = 4"):
+    with pytest.raises(ValueError, match="chi = 4"):
         schema_presentation(s)
 
 

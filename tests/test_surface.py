@@ -1,11 +1,16 @@
-"""Guard against public names that only the tests use.
+"""Guard against names that only the tests use.
 
 Every public top-level function or class in ``src/bridgecovers`` and every
 public method must be named somewhere in ``src/`` or ``bench/`` besides its
-own definition and the package's ``__init__.py``.
+own definition and the package's ``__init__.py``.  Every exception class in
+``src/`` must be named in an ``except`` clause in ``src/`` or ``bench/``; a
+rejection that no caller tells apart is a plain ``ValueError``.  No module
+in ``src/`` other than the package's ``__init__.py`` imports a name it does
+not use.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -48,3 +53,53 @@ def uncalled():
 
 def test_every_public_name_has_a_caller():
     assert uncalled() == set()
+
+
+def exception_classes():
+    """(file, name) of each exception class that a module in src/ defines."""
+    out = set()
+    for path in SOURCES:
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module("bridgecovers." + path.stem)
+        out.update((path.name, name) for name, obj in vars(module).items()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__)
+    return out
+
+
+def caught_names():
+    """Names in the except clauses of src/ and bench/ (``mod.Name`` gives Name)."""
+    out = set()
+    for path in SOURCES + BENCH:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                out.update(t.id if isinstance(t, ast.Name) else t.attr for t in types)
+    return out
+
+
+def test_every_exception_class_is_caught():
+    caught = caught_names()
+    assert {(path, name) for path, name in exception_classes() if name not in caught} == set()
+
+
+def unused_imports():
+    """(file, name) of each imported name that its module never reads."""
+    out = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        out.add((path.name, bound))
+    return out
+
+
+def test_no_unused_imports():
+    assert unused_imports() == set()

@@ -271,9 +271,6 @@ def test_crystallization_heegaard_genus():
 
 def test_covering_factorization_laws():
     t = normalize(8, 3)
-    for d in range(1, 11):
-        res = decompose(t, 2 * d, d)
-        assert res.d == d and res.intermediate.components == d + 1
     for n in range(2, 51):
         for k in range(1, n):
             g = gcd(n, k)

@@ -38,6 +38,14 @@ def test_decompose_degenerate():
     assert result.intermediate.components == 2
 
 
+def test_decompose_component_counts():
+    t = normalize(8, 3)
+    for d in range(1, 11):
+        result = decompose(t, 2 * d, d)
+        assert result.d == d
+        assert result.intermediate.components == d + 1
+
+
 def test_decompose_validation():
     with pytest.raises(ValueError, match=r"^b\(5,3\) is a knot; .* 2-component link$"):
         decompose(normalize(5, 3), 6, 2)

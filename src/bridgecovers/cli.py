@@ -90,7 +90,7 @@ def cmd_present(args):
     if args.method == "mu3":
         pres = mu3_presentation(t, n, k)
     elif args.method == "takahashi" and t.is_link:
-        raise ValueError("%s is a 2-component link; takahashi needs a knot" % t)
+        raise ValueError("%s is a 2-component link; takahashi needs a knot" % (t,))
     else:
         # the arguments are checked before the n relators are built
         check_degree(n)
@@ -247,6 +247,20 @@ def _reorientation_mismatches(reports, reoriented):
             for a, b in zip(reports, reversed(reoriented)) if _groups_differ(a, b)]
 
 
+def _genus_mismatches(t, spec, report):
+    """One record per genus bound of the covering below d(H_1), the number
+    of generators of the report's consensus group: the Heegaard genus is at
+    least the rank of pi_1, which is at least d(H_1)."""
+    group = consensus_group(report)
+    if group is None:
+        return []
+    generators = group["rank"] + len(group["torsion"])
+    bounds = genus_bounds(t, spec)
+    return [{"genus_bound": name, "bound": bound, "generators": generators, "report": report}
+            for name, bound in zip(bounds._fields, bounds)
+            if bound is not None and bound < generators]
+
+
 def cmd_verify(args):
     amax, nmax = args.sweep
     if amax < 2 or nmax < 2:
@@ -266,12 +280,13 @@ def cmd_verify(args):
                 else:
                     specs = [CoveringSpec(n, (1, k)) for k in range(1, n)]
                 reports = [verify_consistency(t, spec) for spec in specs]
-                for report in reports:
+                for spec, report in zip(specs, reports):
                     checked += 1
                     if report["agree"] is False:
                         mismatches.append(report)
                     elif report["agree"] is None:
                         unverified += 1
+                    mismatches += _genus_mismatches(t, spec, report)
                 if t.is_link:
                     mismatches += _pair_mismatches(t, reports)
                     link_reports[t.beta, n] = reports
@@ -294,6 +309,15 @@ def cmd_verify(args):
                             ", ".join(rep["accepted_by"]), _group_str(consensus_group(a)),
                             _group_str(consensus_group(b))))
             lines += [_reproduce(a), _reproduce(b)]
+            continue
+        if "genus_bound" in rep:
+            a = rep["report"]
+            lines.append("MISMATCH %s degree %d exponents %s: H_1 %s needs %d generators, "
+                         "above the %s genus bound %d"
+                         % (a["link"], a["degree"], a["exponents"],
+                            _group_str(consensus_group(a)), rep["generators"],
+                            rep["genus_bound"], rep["bound"]))
+            lines.append(_reproduce(a))
             continue
         lines.append("MISMATCH %s degree %d exponents %s: %s"
                      % (rep["link"], rep["degree"], rep["exponents"],

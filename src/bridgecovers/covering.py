@@ -5,7 +5,7 @@ monodromy-cyclic), equivalence and homeomorphism predicates, geometric
 structure labels and Heegaard genus bounds.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -13,26 +13,25 @@ from math import gcd
 from .two_bridge import TwoBridge, equivalent, normalize
 
 
-@dataclass(frozen=True)
-class CoveringSpec:
+class CoveringSpec(namedtuple("CoveringSpec", "n exponents")):
     """Degree n plus branching exponents, one per component of the link.
 
     Exponents are nonzero residues mod n generating Z_n, stored in [1, n-1].
     """
 
-    n: int
-    exponents: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, exponents: tuple):
+        if n < 2:
             raise ValueError("degree must be at least 2")
-        if not self.exponents:
+        if not exponents:
             raise ValueError("need at least one exponent")
-        if any(k % self.n == 0 for k in self.exponents):
+        if any(k % n == 0 for k in exponents):
             raise ValueError("exponents must be nonzero mod n")
-        object.__setattr__(self, "exponents", tuple(k % self.n for k in self.exponents))
-        if gcd(self.n, *self.exponents) != 1:
-            raise ValueError("exponents do not generate Z_%d" % self.n)
+        exponents = tuple(k % n for k in exponents)
+        if gcd(n, *exponents) != 1:
+            raise ValueError("exponents do not generate Z_%d" % n)
+        return tuple.__new__(cls, (n, exponents))
 
     @property
     def nu(self) -> int:
@@ -50,12 +49,8 @@ class CoveringSpec:
         return None
 
 
-@dataclass(frozen=True)
-class CoveringClass:
-    strictly: bool
-    almost_strictly: bool
-    meridian: bool
-    singly: bool
+class CoveringClass(namedtuple("CoveringClass", "strictly almost_strictly meridian singly")):
+    __slots__ = ()
 
 
 class GeometryType(Enum):
@@ -67,11 +62,11 @@ class GeometryType(Enum):
     undetermined = "undetermined"
 
 
-@dataclass(frozen=True)
-class GenusBounds:
-    general: int
-    braid: int | None = None
-    symmetric: int | None = None
+class GenusBounds(namedtuple("GenusBounds", "general braid symmetric", defaults=(None, None))):
+    """Upper bounds on the Heegaard genus; braid and symmetric are None
+    where the covering has no such bound."""
+
+    __slots__ = ()
 
 
 def _check_components(t: TwoBridge, spec: CoveringSpec):
@@ -115,7 +110,7 @@ def covering_equivalent(t: TwoBridge, s1: CoveringSpec, s2: CoveringSpec) -> boo
         if s.nu != 2 or s.exponents[0] != 1:
             raise ValueError("expected normal form (n; 1, k), got %r" % (s.exponents,))
     if not t.is_link:
-        raise ValueError("%s is not a link" % t)
+        raise ValueError("%s is not a link" % (t,))
     n = s1.n
     k, k2 = s1.exponents[1], s2.exponents[1]
     if k2 == k or (k * k2) % n == 1:
@@ -134,7 +129,9 @@ def hyperbolic_homeomorphic(t: TwoBridge, n: int, k: int, k2: int) -> bool:
     knot all exponents give the same covering, so the answer is True.
     """
     if torus_signs(t):
-        raise ValueError(str(t))
+        kind = "knot" if t.is_knot else "link"
+        raise ValueError("%s is a torus %s; hyperbolic_homeomorphic needs a hyperbolic %s"
+                         % (t, kind, kind))
     if gcd(n, k) != 1 or gcd(n, k2) != 1:
         raise ValueError("exponents %d, %d not coprime to %d" % (k, k2, n))
     if t.is_knot:

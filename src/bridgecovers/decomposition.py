@@ -8,31 +8,27 @@ degree n/d.  This module does the arithmetic bookkeeping for that diagram
 (degrees, component counts, branching indices).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .two_bridge import TwoBridge, linking_number
 
 
-@dataclass(frozen=True)
-class LinkLDescriptor:
+class LinkLDescriptor(namedtuple("LinkLDescriptor", "d alpha1_over_beta l")):
     """The link L(d, alpha_1/beta): d ladder strands closed over one box row.
 
     Not a diagram, just the parameters.
     """
 
-    d: int
-    alpha1_over_beta: Fraction
-    l: int
+    __slots__ = ()
 
     @property
     def components(self) -> int:
         return 1 + gcd(self.d, self.l)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(namedtuple("DecompositionResult", "upper_degree intermediate")):
     """Degrees and intermediate data of the covering factorization.
 
     upper_degree is the meridian-cyclic covering onto the intermediate link
@@ -40,8 +36,7 @@ class DecompositionResult:
     cyclic covering of the base branched over one trivial component.
     """
 
-    upper_degree: int
-    intermediate: LinkLDescriptor
+    __slots__ = ()
 
     @property
     def d(self) -> int:
@@ -80,7 +75,7 @@ def decompose(t: TwoBridge, n: int, k: int) -> DecompositionResult:
     covering and the intermediate link is t itself in its L(1, .) form.
     """
     if not t.is_link:
-        raise ValueError("%s is a knot; decompose needs a 2-component link" % t)
+        raise ValueError("%s is a knot; decompose needs a 2-component link" % (t,))
     if n < 2:
         raise ValueError("degree must be at least 2, got %d" % n)
     k %= n

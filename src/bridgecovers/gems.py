@@ -6,7 +6,7 @@ every 3-residue is a 2-sphere decides whether the graph is a gem, i.e.
 whether the associated pseudocomplex is a manifold.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
@@ -35,23 +35,22 @@ SPHERE = Sphere()
 CYCLIC_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
 
-@dataclass(frozen=True)
-class ColouredGraph:
+class ColouredGraph(namedtuple("ColouredGraph", "involutions")):
     """Connected 4-regular graph given by four fixed-point-free involutions.
 
     Vertices are 0..V-1; involutions[c][v] is the endpoint of the c-coloured
     edge at v.  Parallel edges of different colours are allowed.
     """
 
-    involutions: tuple
+    # no __slots__: the cached properties below live in the instance dict
 
-    def __post_init__(self):
-        if len(self.involutions) != 4:
+    def __new__(cls, involutions: tuple):
+        if len(involutions) != 4:
             raise ValueError("need exactly four involutions")
-        v_count = len(self.involutions[0])
+        v_count = len(involutions[0])
         if v_count == 0 or v_count % 2:
             raise ValueError("vertex count must be positive and even")
-        for c, inv in enumerate(self.involutions):
+        for c, inv in enumerate(involutions):
             if len(inv) != v_count:
                 raise ValueError("involution %d acts on a different vertex set" % c)
             for v, w in enumerate(inv):
@@ -59,8 +58,10 @@ class ColouredGraph:
                     raise ValueError("colour %d fixes vertex %d" % (c, v))
                 if not 0 <= w < v_count or inv[w] != v:
                     raise ValueError("colour %d is not an involution at vertex %d" % (c, v))
-        if _cycle_classes(self, (0, 1), (2, 3)) != 1:
+        graph = tuple.__new__(cls, (involutions,))
+        if _cycle_classes(graph, (0, 1), (2, 3)) != 1:
             raise ValueError("graph is not connected")
+        return graph
 
     @property
     def vertex_count(self) -> int:
@@ -104,28 +105,21 @@ class ColouredGraph:
         return {}
 
 
-@dataclass(frozen=True)
-class LMParams:
+class LMParams(namedtuple("LMParams", "n p q c cprime")):
     """Parameters (n, p, q, c, c') of the generalized family: q reduced mod 2p,
     c and c' mod n, gcd(p, q) = 1 and gcd(n, c, c') = 1.  The default c' = 1
     is the Lins-Mandel family G(n, p, q, c)."""
 
-    n: int
-    p: int
-    q: int
-    c: int
-    cprime: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.p < 1:
+    def __new__(cls, n: int, p: int, q: int, c: int, cprime: int = 1):
+        if n < 1 or p < 1:
             raise ValueError("n and p must be positive")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError("gcd(p, q) must be 1")
-        if gcd(self.n, gcd(self.c, self.cprime)) != 1:
+        if gcd(n, gcd(c, cprime)) != 1:
             raise ValueError("gcd(n, c, c') must be 1")
-        object.__setattr__(self, "q", self.q % (2 * self.p))
-        object.__setattr__(self, "c", self.c % self.n)
-        object.__setattr__(self, "cprime", self.cprime % self.n)
+        return tuple.__new__(cls, (n, p, q % (2 * p), c % n, cprime % n))
 
 
 def eta(j: int, p: int) -> int:

@@ -6,9 +6,8 @@ forms, or the order |Res(Delta, t^n - 1)| of the torsion subgroup.  All
 arithmetic is exact; disagreement between routes is reported as data.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .covering import CoveringSpec, _check_components, lens_recognize, torus_signs
 from .polyhedral import build_minkus, schema_presentation
@@ -23,38 +22,36 @@ from .two_bridge import TwoBridge, even_cf_expand, is_genus_one, mirror, reorien
 from .words import CyclicPresentation, LaurentPolynomial, Presentation
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "cols entries")):
     """Sparse integer matrix: rows are dicts from column in range(cols) to nonzero entry."""
 
-    cols: int
-    entries: list
+    __slots__ = ()
 
-    def __post_init__(self):
-        keys = set().union(*self.entries)
-        if not keys <= set(range(self.cols)) or not all(map(all, map(dict.values, self.entries))):
-            raise ValueError("rows must map columns in range(%d) to nonzero entries" % self.cols)
+    def __new__(cls, cols: int, entries: list):
+        keys = set().union(*entries)
+        if not keys <= set(range(cols)) or not all(map(all, map(dict.values, entries))):
+            raise ValueError("rows must map columns in range(%d) to nonzero entries" % cols)
+        return tuple.__new__(cls, (cols, entries))
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
     """rank copies of Z plus cyclic factors in a divisibility chain."""
 
-    rank: int
-    torsion: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank: int, torsion: tuple):
+        if rank < 0:
             raise ValueError("negative rank")
-        for i, d in enumerate(self.torsion):
+        for i, d in enumerate(torsion):
             if d < 2:
                 raise ValueError("invariant factors must be at least 2")
-            if i and d % self.torsion[i - 1]:
+            if i and d % torsion[i - 1]:
                 raise ValueError("torsion is not a divisibility chain")
+        return tuple.__new__(cls, (rank, torsion))
 
     def order(self):
         """Group order, or None when the rank part makes it infinite."""
@@ -78,24 +75,17 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-class EvenAlphaParams(NamedTuple):
+class EvenAlphaParams(namedtuple("EvenAlphaParams", "s d h m a b")):
     """Intermediate quantities of the even-alpha formulas."""
 
-    s: int
-    d: int
-    h: int
-    m: int
-    a: int
-    b: int
+    __slots__ = ()
 
 
-class GenusOneParams(NamedTuple):
+class GenusOneParams(namedtuple("GenusOneParams", "hg aprime asecond")):
     """Twist parameter and the two recurrence sequences of a genus-one knot,
     indexed from 1 (slot 0 unused)."""
 
-    hg: int
-    aprime: tuple
-    asecond: tuple
+    __slots__ = ()
 
 
 def _chain(xs) -> list:

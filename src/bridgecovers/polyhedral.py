@@ -14,33 +14,23 @@ k = +-1), so the complex is always built with the shift-1 pairing and the
 requested k is only recorded.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
-from typing import NamedTuple
 
 from .words import FreeWord, Presentation
 
 
-@dataclass(frozen=True)
-class CellComplexCounts:
-    t0: int
-    t1: int
-    t2: int
-    t3: int
+class CellComplexCounts(namedtuple("CellComplexCounts", "t0 t1 t2 t3")):
+    __slots__ = ()
 
     @property
     def chi(self) -> int:
         return self.t0 - self.t1 + self.t2 - self.t3
 
 
-@dataclass(frozen=True)
-class MinkusSchema:
-    n: int
-    p: int
-    q: int
-    k: int
-    pairing_shift: int
+class MinkusSchema(namedtuple("MinkusSchema", "n p q k pairing_shift")):
+    # no __slots__: the cached gluing lives in the instance dict
 
     @property
     def vertex_count(self) -> int:
@@ -121,13 +111,12 @@ def _classes(size: int, pairs) -> list:
     return parent
 
 
-class _Gluing(NamedTuple):
+class _Gluing(namedtuple("_Gluing", "vertex_class relators")):
     """The quotient of a schema under R_i -> R'_{i - shift}: the class of
     each vertex, and one relator per edge class as a tuple of (generator,
     sign) letters."""
 
-    vertex_class: list
-    relators: list
+    __slots__ = ()
 
 
 def _glue(s: MinkusSchema) -> _Gluing:

@@ -5,7 +5,7 @@ All three run over generators x_1..x_n with index arithmetic mod n
 (representatives 1..n; a derived x_0 means x_n).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .gems import eta
@@ -13,12 +13,10 @@ from .two_bridge import TwoBridge, EvenConwayForm
 from .words import CyclicPresentation, FreeWord, LaurentPolynomial, Presentation, word
 
 
-@dataclass(frozen=True)
-class MinkusShiftData:
+class MinkusShiftData(namedtuple("MinkusShiftData", "beta_inv s")):
     """beta^{-1} mod 2*alpha and the partial sums s_1..s_{alpha-1}."""
 
-    beta_inv: int
-    s: tuple
+    __slots__ = ()
 
 
 def check_degree(n: int) -> None:
@@ -97,7 +95,7 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     relators Q_i = prod_j x_{i-jk} and n relators Q'_i = prod_j x_{i+s_j}^{e_j}.
     """
     if not t.is_link:
-        raise ValueError("%s is a knot; mu3 needs a 2-component link" % t)
+        raise ValueError("%s is a knot; mu3 needs a 2-component link" % (t,))
     check_degree(n)
     k %= n
     if k == 0:
@@ -140,7 +138,7 @@ def alexander_polynomial(t: TwoBridge) -> LaurentPolynomial:
     positive leading coefficient."""
     if not t.is_knot:
         raise ValueError("%s is a 2-component link; the Alexander polynomial "
-                         "here needs a knot" % t)
+                         "here needs a knot" % (t,))
     coeffs = {}
     for i, e in _minkus_letters(t):
         coeffs[i] = coeffs.get(i, 0) + e

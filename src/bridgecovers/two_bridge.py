@@ -5,25 +5,24 @@ residue class of beta mod 2*alpha (coprime to alpha).  alpha odd gives a
 knot, alpha even a 2-component link.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 
-@dataclass(frozen=True)
-class TwoBridge:
+class TwoBridge(namedtuple("TwoBridge", "alpha beta")):
     """b(alpha, beta) with beta stored as the representative in [1, 2*alpha-1]."""
 
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1, got %r" % (self.alpha,))
-        if not 1 <= self.beta <= 2 * self.alpha - 1:
-            raise ValueError("beta %r not reduced mod %d" % (self.beta, 2 * self.alpha))
-        if gcd(self.alpha, self.beta) != 1:
-            raise ValueError("gcd(%d, %d) != 1" % (self.alpha, self.beta))
+    def __new__(cls, alpha: int, beta: int):
+        if alpha <= 1:
+            raise ValueError("alpha must exceed 1, got %r" % (alpha,))
+        if not 1 <= beta <= 2 * alpha - 1:
+            raise ValueError("beta %r not reduced mod %d" % (beta, 2 * alpha))
+        if gcd(alpha, beta) != 1:
+            raise ValueError("gcd(%d, %d) != 1" % (alpha, beta))
+        return tuple.__new__(cls, (alpha, beta))
 
     @property
     def is_knot(self) -> bool:
@@ -37,15 +36,15 @@ class TwoBridge:
         return "b(%d,%d)" % (self.alpha, self.beta)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(namedtuple("ContinuedFraction", "entries")):
     """Tower c_1 + 1/(c_2 + 1/(... + 1/c_m)) with nonzero integer entries."""
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries or any(c == 0 for c in self.entries):
+    def __new__(cls, entries: tuple):
+        if not entries or any(c == 0 for c in entries):
             raise ValueError("entries must be a nonempty sequence of nonzero integers")
+        return tuple.__new__(cls, (entries,))
 
     def value(self) -> Fraction:
         # convergents h/k by h_j = c_j h_{j-1} + h_{j-2}, in integers
@@ -56,19 +55,18 @@ class ContinuedFraction:
         return Fraction(h, k)
 
 
-@dataclass(frozen=True)
-class EvenConwayForm:
+class EvenConwayForm(namedtuple("EvenConwayForm", "q s")):
     """Parameters (q_j, s_j) of the all-even expansion [-2q_1, 2s_1, ..., -2q_m, 2s_m].
 
     For a link the trailing 2*s_m entry is absent, so s has length m - 1.
     """
 
-    q: tuple
-    s: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.q or len(self.s) not in (self.m, self.m - 1):
+    def __new__(cls, q: tuple, s: tuple):
+        if not q or len(s) not in (len(q), len(q) - 1):
             raise ValueError("inconsistent even form")
+        return tuple.__new__(cls, (q, s))
 
     @property
     def m(self) -> int:
@@ -113,7 +111,7 @@ def reorient_component(t: TwoBridge) -> TwoBridge:
     """Reverse the orientation of one component: b(alpha, beta - alpha)."""
     if not t.is_link:
         raise ValueError("%s is a knot; reorienting one component needs a "
-                         "2-component link" % t)
+                         "2-component link" % (t,))
     return normalize(t.alpha, t.beta - t.alpha)
 
 
@@ -160,14 +158,14 @@ def even_cf_expand(t: TwoBridge) -> EvenConwayForm:
     s = tuple(entries[i] // 2 for i in range(1, len(entries), 2))
     form = EvenConwayForm(q, s)
     if form.value() != Fraction(t.alpha, bp):
-        raise ValueError("re-evaluation failed for %s" % t)
+        raise ValueError("re-evaluation failed for %s" % (t,))
     return form
 
 
 def linking_number(t: TwoBridge) -> int:
     """Linking number of the two components: sum of (-1)^[(2h-1) beta / alpha]."""
     if not t.is_link:
-        raise ValueError("%s is a knot; the linking number needs a 2-component link" % t)
+        raise ValueError("%s is a knot; the linking number needs a 2-component link" % (t,))
     return sum((-1) ** (((2 * h - 1) * t.beta) // t.alpha) for h in range(1, t.alpha // 2 + 1))
 
 
@@ -178,7 +176,7 @@ def is_genus_one(t: TwoBridge) -> bool:
     divisibility of (alpha - 1)/4 or (alpha + 1)/4 (by alpha mod 4) by beta/2.
     """
     if not t.is_knot:
-        raise ValueError("%s is a 2-component link; the genus-one test needs a knot" % t)
+        raise ValueError("%s is a 2-component link; the genus-one test needs a knot" % (t,))
     target = (t.alpha - 1) // 4 if t.alpha % 4 == 1 else (t.alpha + 1) // 4
     b = t.beta % t.alpha
     for x in (b, pow(b, -1, t.alpha)):

@@ -6,17 +6,16 @@ stored words are freely reduced.  Products, powers, inverses and shifts of
 reduced words merge only where two reduced parts meet.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(namedtuple("FreeWord", "letters")):
     """Freely reduced word; letters is a tuple of (index, nonzero exponent)."""
 
-    letters: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _merge(self.letters))
+    def __new__(cls, letters: tuple = ()):
+        return tuple.__new__(cls, (_merge(letters),))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         # only the syllables where the two reduced words meet cancel or merge
@@ -58,9 +57,7 @@ class FreeWord:
 
 def _reduced(letters) -> FreeWord:
     """The FreeWord of letters that are already freely reduced, unmerged."""
-    w = object.__new__(FreeWord)
-    object.__setattr__(w, "letters", letters)
-    return w
+    return tuple.__new__(FreeWord, (letters,))
 
 
 def _merge(letters):
@@ -88,16 +85,15 @@ def format_word(w: FreeWord) -> str:
     return " ".join("x%d" % i if e == 1 else "x%d^%d" % (i, e) for i, e in w.letters)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generator_count: int
-    relators: tuple
+class Presentation(namedtuple("Presentation", "generator_count relators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __new__(cls, generator_count: int, relators: tuple):
+        for r in relators:
             for i, _ in r.letters:
-                if not 1 <= i <= self.generator_count:
+                if not 1 <= i <= generator_count:
                     raise ValueError("letter index %d out of range" % i)
+        return tuple.__new__(cls, (generator_count, relators))
 
     def relator_matrix(self) -> list:
         """Abelianized relators: dicts from generator index (from 0) to nonzero exponent sum."""
@@ -112,12 +108,10 @@ class Presentation:
         return rows
 
 
-@dataclass(frozen=True)
-class CyclicPresentation:
+class CyclicPresentation(namedtuple("CyclicPresentation", "n w")):
     """G_n(w): generators x_1..x_n, relators the shifts of the defining word."""
 
-    n: int
-    w: FreeWord
+    __slots__ = ()
 
     @property
     def generator_count(self) -> int:
@@ -154,17 +148,19 @@ def word_polynomial(cp: CyclicPresentation) -> "LaurentPolynomial":
     return LaurentPolynomial(coeffs)
 
 
-@dataclass
 class LaurentPolynomial:
     """Integer Laurent polynomial as a sparse exponent -> coefficient map."""
 
-    coefficients: dict = field(default_factory=dict)
+    __hash__ = None
 
-    def __post_init__(self):
-        self.coefficients = {e: c for e, c in self.coefficients.items() if c}
+    def __init__(self, coefficients: dict | None = None):
+        self.coefficients = {e: c for e, c in (coefficients or {}).items() if c}
 
     def __eq__(self, other):
         return isinstance(other, LaurentPolynomial) and self.coefficients == other.coefficients
+
+    def __repr__(self):
+        return "LaurentPolynomial(coefficients=%r)" % (self.coefficients,)
 
     def lowest(self) -> int:
         return min(self.coefficients) if self.coefficients else 0

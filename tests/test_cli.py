@@ -446,6 +446,43 @@ def test_present_knot_exponent_must_generate(capsys):
         assert err.splitlines()[-1] == "error: exponents do not generate Z_4"
 
 
+def test_verify_genus_bound_mismatch_reproducers(capsys, monkeypatch):
+    from bridgecovers import homology
+
+    def planted(route):
+        def three_generators(t, spec):
+            rec = route(t, spec)
+            if rec and (t.alpha, t.beta, spec.n) == (3, 1, 5):
+                return ({"group": {"rank": 0, "torsion": [2, 2, 2]}} if "group" in rec
+                        else {"order": 8})
+            return rec
+        return three_generators
+
+    # every route agrees on Z_2^3 for the 5-fold covering of the trefoil, so
+    # only the genus check sees it: the braid bound min(alpha, n) - 1 is 2,
+    # the general and symmetric bounds n - 1 are 4
+    for name, route in list(homology.ROUTES.items()):
+        monkeypatch.setitem(homology.ROUTES, name, planted(route))
+    code, out, _ = run(capsys, "verify", "--sweep", "3", "5")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "MISMATCH b(3,1) degree 5 exponents [1]: H_1 Z_2 + Z_2 + Z_2 needs 3 generators, "
+        "above the braid genus bound 2",
+        "  reproduce: bridgecovers homology 3 1 5",
+        "mismatches: 1"]
+    code, rec = run_json(capsys, "verify", "--sweep", "3", "5", "--format", "json")
+    assert code == 1 and not rec["ok"] and rec["unverified"] == 0
+    [mismatch] = rec["mismatches"]
+    assert {k: v for k, v in mismatch.items() if k != "report"} == {
+        "genus_bound": "braid", "bound": 2, "generators": 3}
+    assert mismatch["report"]["agree"] is True
+    assert (mismatch["report"]["link"], mismatch["report"]["degree"]) == ("b(3,1)", 5)
+    # unplanted, the reproducer gives the trivial group of the Poincare sphere
+    monkeypatch.undo()
+    code, rec = run_json(capsys, "homology", "3", "1", "5", "--format", "json")
+    assert code == 0 and rec["routes"][0]["group"] == {"rank": 0, "torsion": []}
+
+
 def test_knot_link_errors_say_what_is_wrong(capsys):
     for argv, message in (
             (("present", "5", "3", "4", "--method", "mu3"),

@@ -78,8 +78,12 @@ def test_hyperbolic_homeomorphic():
     assert hyperbolic_homeomorphic(t, 7, 2, 4)
     assert hyperbolic_homeomorphic(t, 7, 2, 5)
     assert not hyperbolic_homeomorphic(normalize(12, 5), 7, 2, 5)
-    with pytest.raises(ValueError, match=r"^b\(4,1\)$"):
+    with pytest.raises(ValueError, match=r"^b\(4,1\) is a torus link; "
+                       r"hyperbolic_homeomorphic needs a hyperbolic link$"):
         hyperbolic_homeomorphic(normalize(4, 1), 7, 2, 4)
+    with pytest.raises(ValueError, match=r"^b\(7,1\) is a torus knot; "
+                       r"hyperbolic_homeomorphic needs a hyperbolic knot$"):
+        hyperbolic_homeomorphic(normalize(7, 1), 7, 2, 4)
     with pytest.raises(ValueError, match=r"^exponents 2, 4 not coprime to 6$"):
         hyperbolic_homeomorphic(t, 6, 2, 4)
 

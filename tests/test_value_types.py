@@ -1,0 +1,103 @@
+"""The value types: immutable, compared and hashed by their fields, shown in
+the ``Name(field=value, ...)`` form, and cheap to import."""
+
+import inspect
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from bridgecovers import two_bridge
+from bridgecovers.covering import CoveringClass, CoveringSpec, GenusBounds
+from bridgecovers.decomposition import DecompositionResult, LinkLDescriptor
+from bridgecovers.gems import ColouredGraph, LMParams
+from bridgecovers.homology import AbelianGroup, EvenAlphaParams, GenusOneParams, IntMatrix
+from bridgecovers.polyhedral import CellComplexCounts, MinkusSchema
+from bridgecovers.presentations import MinkusShiftData
+from bridgecovers.two_bridge import ContinuedFraction, EvenConwayForm, TwoBridge, normalize
+from bridgecovers.words import (CyclicPresentation, FreeWord, LaurentPolynomial,
+                                Presentation)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (factory, repr of what it builds); each factory builds a new object
+VALUES = (
+    (lambda: TwoBridge(5, 3), "TwoBridge(alpha=5, beta=3)"),
+    (lambda: ContinuedFraction((1, 1, 2)), "ContinuedFraction(entries=(1, 1, 2))"),
+    (lambda: EvenConwayForm((1,), (-1,)), "EvenConwayForm(q=(1,), s=(-1,))"),
+    (lambda: CoveringSpec(5, (1, 7)), "CoveringSpec(n=5, exponents=(1, 2))"),
+    (lambda: CoveringClass(True, True, True, False),
+     "CoveringClass(strictly=True, almost_strictly=True, meridian=True, singly=False)"),
+    (lambda: GenusBounds(4), "GenusBounds(general=4, braid=None, symmetric=None)"),
+    (lambda: LinkLDescriptor(2, Fraction(4, 3), 0),
+     "LinkLDescriptor(d=2, alpha1_over_beta=Fraction(4, 3), l=0)"),
+    (lambda: DecompositionResult(3, LinkLDescriptor(2, Fraction(4, 3), 0)),
+     "DecompositionResult(upper_degree=3, "
+     "intermediate=LinkLDescriptor(d=2, alpha1_over_beta=Fraction(4, 3), l=0))"),
+    (lambda: ColouredGraph(((1, 0),) * 4),
+     "ColouredGraph(involutions=((1, 0), (1, 0), (1, 0), (1, 0)))"),
+    (lambda: LMParams(3, 2, 5, 4), "LMParams(n=3, p=2, q=1, c=1, cprime=1)"),
+    (lambda: AbelianGroup(1, (2, 4)), "AbelianGroup(rank=1, torsion=(2, 4))"),
+    (lambda: EvenAlphaParams(1, 2, 1, 1, 3, 2), "EvenAlphaParams(s=1, d=2, h=1, m=1, a=3, b=2)"),
+    (lambda: GenusOneParams(1, (0, 1), (0, 1)),
+     "GenusOneParams(hg=1, aprime=(0, 1), asecond=(0, 1))"),
+    (lambda: CellComplexCounts(1, 2, 2, 1), "CellComplexCounts(t0=1, t1=2, t2=2, t3=1)"),
+    (lambda: MinkusSchema(2, 3, 1, 1, 1), "MinkusSchema(n=2, p=3, q=1, k=1, pairing_shift=1)"),
+    (lambda: MinkusShiftData(3, (1, 0)), "MinkusShiftData(beta_inv=3, s=(1, 0))"),
+    (lambda: FreeWord(((1, 1), (1, 1), (2, 0))), "FreeWord(letters=((1, 2),))"),
+    (lambda: Presentation(2, (FreeWord(((2, -1),)),)),
+     "Presentation(generator_count=2, relators=(FreeWord(letters=((2, -1),)),))"),
+    (lambda: CyclicPresentation(3, FreeWord(((1, 1),))),
+     "CyclicPresentation(n=3, w=FreeWord(letters=((1, 1),)))"),
+)
+
+
+@pytest.mark.parametrize("make, shown", VALUES, ids=[s.split("(")[0] for _, s in VALUES])
+def test_value_type_contract(make, shown):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == shown
+    for name in inspect.signature(type(a)).parameters:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+
+
+def test_value_types_with_list_fields_are_unhashable():
+    # as before: the rows of a matrix are dicts in a list
+    m = IntMatrix(2, [{0: 1}, {1: -2}])
+    assert m == IntMatrix(2, [{0: 1}, {1: -2}])
+    assert repr(m) == "IntMatrix(cols=2, entries=[{0: 1}, {1: -2}])"
+    with pytest.raises(TypeError):
+        hash(m)
+    with pytest.raises(AttributeError):
+        m.cols = 3
+
+
+def test_laurent_polynomial_is_a_mutable_value():
+    p = LaurentPolynomial({0: 1, 1: 0, 2: -3})
+    assert p == LaurentPolynomial({2: -3, 0: 1}) and p != LaurentPolynomial()
+    assert repr(p) == "LaurentPolynomial(coefficients={0: 1, 2: -3})"
+    assert repr(LaurentPolynomial()) == "LaurentPolynomial(coefficients={})"
+    with pytest.raises(TypeError):
+        hash(p)
+    p.coefficients = {1: 1}
+    assert p == LaurentPolynomial({1: 1})
+
+
+def test_even_cf_expand_rejection_names_the_link(monkeypatch):
+    # no input reaches this check; a wrong evaluation shows what it reports
+    monkeypatch.setattr(two_bridge.EvenConwayForm, "value", lambda form: Fraction(0))
+    with pytest.raises(ValueError, match=r"^re-evaluation failed for b\(7,3\)$"):
+        two_bridge.even_cf_expand(normalize(7, 3))
+
+
+def test_cli_import_loads_no_dataclasses():
+    # each CLI call pays for the import; a dataclass costs about 1 ms to define
+    code = ("import sys; sys.path.insert(0, %r); import bridgecovers.cli; "
+            "print('dataclasses' in sys.modules)" % str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

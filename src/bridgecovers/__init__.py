@@ -24,6 +24,6 @@ from .presentations import (alexander_polynomial, minkus_cyclic,
 from .two_bridge import (TwoBridge, cf_expand, equivalent, even_cf_expand,
                          is_genus_one, linking_number, mirror, normalize)
 from .words import (CyclicPresentation, FreeWord, LaurentPolynomial,
-                    Presentation, format_word, word_polynomial)
+                    Presentation, format_word)
 
 __version__ = "0.1.0"

@@ -11,9 +11,10 @@ from fractions import Fraction
 from math import gcd
 
 from .two_bridge import TwoBridge, equivalent, normalize
+from .values import checked_namedtuple
 
 
-class CoveringSpec(namedtuple("CoveringSpec", "n exponents")):
+class CoveringSpec(checked_namedtuple("CoveringSpec", "n exponents")):
     """Degree n plus branching exponents, one per component of the link.
 
     Exponents are nonzero residues mod n generating Z_n, stored in [1, n-1].

@@ -6,7 +6,6 @@ every 3-residue is a 2-sphere decides whether the graph is a gem, i.e.
 whether the associated pseudocomplex is a manifold.
 """
 
-from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd
@@ -14,6 +13,7 @@ from math import gcd
 from .covering import CoveringSpec
 from .polyhedral import _classes
 from .two_bridge import normalize
+from .values import checked_namedtuple
 
 
 class OutOfRange(ValueError):
@@ -35,7 +35,7 @@ SPHERE = Sphere()
 CYCLIC_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
 
-class ColouredGraph(namedtuple("ColouredGraph", "involutions")):
+class ColouredGraph(checked_namedtuple("ColouredGraph", "involutions")):
     """Connected 4-regular graph given by four fixed-point-free involutions.
 
     Vertices are 0..V-1; involutions[c][v] is the endpoint of the c-coloured
@@ -105,7 +105,7 @@ class ColouredGraph(namedtuple("ColouredGraph", "involutions")):
         return {}
 
 
-class LMParams(namedtuple("LMParams", "n p q c cprime")):
+class LMParams(checked_namedtuple("LMParams", "n p q c cprime")):
     """Parameters (n, p, q, c, c') of the generalized family: q reduced mod 2p,
     c and c' mod n, gcd(p, q) = 1 and gcd(n, c, c') = 1.  The default c' = 1
     is the Lins-Mandel family G(n, p, q, c)."""

@@ -13,16 +13,16 @@ from .covering import CoveringSpec, _check_components, lens_recognize, torus_sig
 from .polyhedral import build_minkus, schema_presentation
 from .presentations import (
     alexander_polynomial,
-    minkus_cyclic,
     minkus_presentation,
     mu3_presentation,
     takahashi_word,
 )
 from .two_bridge import TwoBridge, even_cf_expand, is_genus_one, mirror, reorient_component
+from .values import checked_namedtuple
 from .words import CyclicPresentation, LaurentPolynomial, Presentation
 
 
-class IntMatrix(namedtuple("IntMatrix", "cols entries")):
+class IntMatrix(checked_namedtuple("IntMatrix", "cols entries")):
     """Sparse integer matrix: rows are dicts from column in range(cols) to nonzero entry."""
 
     __slots__ = ()
@@ -38,7 +38,7 @@ class IntMatrix(namedtuple("IntMatrix", "cols entries")):
         return len(self.entries)
 
 
-class AbelianGroup(namedtuple("AbelianGroup", "rank torsion")):
+class AbelianGroup(checked_namedtuple("AbelianGroup", "rank torsion")):
     """rank copies of Z plus cyclic factors in a divisibility chain."""
 
     __slots__ = ()
@@ -364,10 +364,8 @@ def order_via_resultant(delta: LaurentPolynomial, n: int):
 
 
 def _minkus(t, spec):
-    # a knot's group is cyclically presented: h1 reads its rows off f_w(t)
-    if t.is_knot:
-        return {"group": h1(minkus_cyclic(t, spec.n)).to_json()}
-    if len(set(spec.exponents)) == 1:
+    # a link's Minkus presentation is its covering with exponents (1, 1)
+    if t.is_knot or len(set(spec.exponents)) == 1:
         return {"group": h1(minkus_presentation(t, spec.n)).to_json()}
 
 

@@ -16,6 +16,7 @@ requested k is only recorded.
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
 from .words import FreeWord, Presentation
@@ -59,40 +60,6 @@ def build_minkus(n: int, k: int, p: int, q: int) -> MinkusSchema:
     return MinkusSchema(n, p, q, k % n, shift)
 
 
-def _semicircle(s: MinkusSchema, i: int) -> list:
-    """Vertex ids at heights 0..p on semicircle i (mod n): N, v(i,1..p-1), S."""
-    first = 2 + (i % s.n) * (s.p - 1)
-    return [0, *range(first, first + s.p - 1), 1]
-
-
-def _faces(s: MinkusSchema) -> list:
-    """Regions R_0, R'_0, R_1, R'_1, ... as (vertex cycle, slot list).
-
-    Edge ids: semicircle segment sc(i,t) = i*p + t runs v(i,t) -> v(i,t+1);
-    bisecting arc arc(i) = n*p + i runs v(i,q) -> v(i+1, p-q).  A slot holds
-    the directed edge met there, numbered 2e along edge e and 2e + 1 against.
-    """
-    n, p, q = s.n, s.p, s.q
-    faces = []
-    for i in range(n):
-        j = (i + 1) % n
-        here, there = _semicircle(s, i), _semicircle(s, j)
-        # R_i: down semicircle i to the arc, back up semicircle i+1 to N
-        verts = here[:q + 1] + there[p - q:0:-1]
-        slots = ([2 * (i * p + t) for t in range(q)] + [2 * (n * p + i)]
-                 + [2 * (j * p + t) + 1 for t in range(p - q - 1, -1, -1)])
-        faces.append((verts, slots))
-        # R'_i: from the arc down semicircle i to S, back up semicircle i+1
-        verts = here[q:] + there[p - 1:p - q - 1:-1]
-        slots = ([2 * (i * p + t) for t in range(q, p)]
-                 + [2 * (j * p + t) + 1 for t in range(p - 1, p - q - 1, -1)]
-                 + [2 * (n * p + i) + 1])
-        faces.append((verts, slots))
-    for verts, slots in faces:
-        assert len(verts) == p + 1 and len(slots) == p + 1
-    return faces
-
-
 def _classes(size: int, pairs) -> list:
     """Representative of each of 0..size-1 once every pair is identified."""
     parent = list(range(size))
@@ -122,37 +89,62 @@ class _Gluing(namedtuple("_Gluing", "vertex_class relators")):
 def _glue(s: MinkusSchema) -> _Gluing:
     """Pair the faces orientation-reversingly and read off the quotient.
 
+    Vertex 0 is N, 1 is S, and 1 + i*(p-1) + h is the point at height h on
+    semicircle i.  Edge i*p + t runs up semicircle i from height t to t+1;
+    edge n*p + i is the arc from height q on semicircle i to height p-q on
+    i+1.  A slot holds the directed edge met there, numbered 2e along edge e
+    and 2e + 1 against it.  Going from N, R_i meets semicircle i down to the
+    arc and semicircle i+1 back up; R'_i meets semicircle i from the arc down
+    to S, semicircle i+1 back up, and the arc backwards.
+
+    R_i is glued to R'_l, l = i - shift: its slot at position (q+m) mod (p+1)
+    (the marked vertex is position q) to the slot of R'_l at position p - m,
+    and its vertex there to the vertex of R'_l at position (p+1-m) mod (p+1).
     Going around an edge class crosses one face pair per step: from the slot
     holding a directed edge to its partner slot, then on along the partner's
     edge reversed.  Each edge lies in exactly two slots, so this cycle covers
     its whole class, and the reversed directed edges form the reverse cycle.
     """
-    faces = _faces(s)
-    n, q = s.n, s.q
+    n, p, q = s.n, s.p, s.q
+    r, arc, up = p - q, 2 * n * p, p - 1
     directed = 2 * s.edge_count
-    assert len({de for _, slots in faces for de in slots}) == directed
-
-    nxt = [0] * directed
+    nxt = [-1] * directed
     letter = [None] * directed
     vertex_pairs = []
     for i in range(n):
-        l = (i - s.pairing_shift) % n
-        (nverts, nslots), (sverts, sslots) = faces[2 * i], faces[2 * l + 1]
+        j, l = (i + 1) % n, (i - s.pairing_shift) % n
+        lj = (l + 1) % n
+        ni, nj, nl, nlj = 2 * i * p, 2 * j * p, 2 * l * p, 2 * lj * p
         forward, backward = (i + 1, +1), (i + 1, -1)
-        # anchor: north position q (the marked vertex) maps to south position 0;
-        # the slots after each run on in opposite directions
-        for a, b in zip(nslots[q:] + nslots[:q], sslots[::-1]):
+        # the north slots from the marked vertex's position q on, against
+        # the south slots from position p back
+        north = chain((arc + 2 * i,), range(nj + 2 * r - 1, nj, -2), range(ni, ni + 2 * q, 2))
+        south = chain((arc + 2 * l + 1,), range(nlj + 2 * r + 1, nlj + 2 * p, 2),
+                      range(nl + 2 * p - 2, nl + 2 * q - 2, -2))
+        for a, b in zip(north, south):
             nxt[a], nxt[b] = b ^ 1, a ^ 1
             letter[a], letter[b] = forward, backward
-        vertex_pairs += zip(nverts[q:] + nverts[:q], sverts[:1] + sverts[:0:-1])
+        # their vertices: the north ones from position q on (N at m = r+1),
+        # the south ones at position 0 and then from p back (S at m = q+1)
+        vertex_pairs += zip(
+            [1 + i * up + q, *range(1 + j * up + r, 1 + j * up, -1),
+             0, *range(2 + i * up, 1 + i * up + q)],
+            [1 + l * up + q, *range(1 + lj * up + r, 1 + lj * up + p),
+             1, *range(l * up + p, 1 + l * up + q, -1)])
+    # each directed edge lies in exactly one of the 2n(p+1) slots
+    assert -1 not in nxt and None not in letter
     vertex_class = _classes(s.vertex_count, vertex_pairs)
 
     # one relator per edge class: walk each cycle from its first directed
-    # edge in slot order, and retire its reverse with it
+    # edge in slot order (R_0, R'_0, R_1, ...), and retire its reverse with it
     relators = []
     seen = [False] * directed
-    for _, slots in faces:
-        for de0 in slots:
+    for i in range(n):
+        ni, nj = 2 * i * p, 2 * ((i + 1) % n) * p
+        for de0 in chain(range(ni, ni + 2 * q, 2), (arc + 2 * i,),
+                         range(nj + 2 * r - 1, nj, -2),
+                         range(ni + 2 * q, ni + 2 * p, 2),
+                         range(nj + 2 * p - 1, nj + 2 * r, -2), (arc + 2 * i + 1,)):
             if seen[de0]:
                 continue
             rel = []

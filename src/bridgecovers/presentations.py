@@ -10,7 +10,7 @@ from math import gcd
 
 from .gems import eta
 from .two_bridge import TwoBridge, EvenConwayForm
-from .words import CyclicPresentation, FreeWord, LaurentPolynomial, Presentation, word
+from .words import CyclicPresentation, FreeWord, LaurentPolynomial, word
 
 
 class MinkusShiftData(namedtuple("MinkusShiftData", "beta_inv s")):
@@ -54,22 +54,20 @@ def minkus_cyclic(t: TwoBridge, n: int) -> CyclicPresentation:
     """The defining word of the cyclic presentation, indices wrapped mod n."""
     check_degree(n)
     w = FreeWord(tuple(((i - 1) % n + 1, e) for i, e in _minkus_letters(t)))
-    return CyclicPresentation(n, w)
+    return CyclicPresentation(n, ((w, n),))
 
 
-def minkus_presentation(t: TwoBridge, n: int) -> Presentation:
+def minkus_presentation(t: TwoBridge, n: int) -> CyclicPresentation:
     """Fundamental group of the strictly-cyclic n-fold covering.
 
     Knots give the cyclic presentation G_n(R); links get n+1 generators
-    (the extra one is y = x_{n+1}) with relators x_n and R_i y^{-1}.
+    (the extra one is y = x_{n+1}, which the shift fixes) with relators x_n
+    and the n shifts R_i y^{-1} of R y^{-1}.
     """
     cp = minkus_cyclic(t, n)
     if t.is_knot:
-        return cp.expand()
-    rels = [word((n, 1))]
-    for i in range(n):
-        rels.append(cp.w.shift(i, n) * word((n + 1, -1)))
-    return Presentation(n + 1, tuple(rels))
+        return cp
+    return CyclicPresentation(n, ((word((n, 1)), 1), (cp.w * word((n + 1, -1)), n)), 1)
 
 
 # ---- coloured-graph presentation ----
@@ -90,7 +88,7 @@ def _mu3_shifts(alpha: int, beta: int, k: int):
     return e, s
 
 
-def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
+def mu3_presentation(t: TwoBridge, n: int, k: int) -> CyclicPresentation:
     """Presentation of M_{n,1,k} read off the coloured graph: gcd(n,k)
     relators Q_i = prod_j x_{i-jk} and n relators Q'_i = prod_j x_{i+s_j}^{e_j}.
     """
@@ -105,8 +103,7 @@ def mu3_presentation(t: TwoBridge, n: int, k: int) -> Presentation:
     # Q_{1+i} and Q'_{1+i} are Q_1 and Q'_1 shifted by i
     q = FreeWord(tuple((-j * k % n + 1, 1) for j in range(n // d)))
     q_prime = FreeWord(tuple((s[j] % n + 1, e[j]) for j in range(t.alpha)))
-    return Presentation(n, tuple([q.shift(i, n) for i in range(d)]
-                                 + [q_prime.shift(i, n) for i in range(n)]))
+    return CyclicPresentation(n, ((q, d), (q_prime, n)))
 
 
 # ---- Takahashi presentation ----
@@ -127,7 +124,7 @@ def takahashi_word(form: EvenConwayForm, n: int) -> CyclicPresentation:
         d = b ** (-s[j - 1]) * d * b.shift(-1, n) ** s[j - 1]
         b = d ** q[j] * b * d.shift(1, n) ** (-q[j])
     sm = s[form.m - 1]
-    return CyclicPresentation(n, b.shift(1, n) ** (-sm) * d.shift(1, n) * b ** sm)
+    return CyclicPresentation(n, ((b.shift(1, n) ** (-sm) * d.shift(1, n) * b ** sm, n),))
 
 
 # ---- Alexander polynomial ----

@@ -5,12 +5,13 @@ residue class of beta mod 2*alpha (coprime to alpha).  alpha odd gives a
 knot, alpha even a 2-component link.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
+from .values import checked_namedtuple
 
-class TwoBridge(namedtuple("TwoBridge", "alpha beta")):
+
+class TwoBridge(checked_namedtuple("TwoBridge", "alpha beta")):
     """b(alpha, beta) with beta stored as the representative in [1, 2*alpha-1]."""
 
     __slots__ = ()
@@ -36,7 +37,7 @@ class TwoBridge(namedtuple("TwoBridge", "alpha beta")):
         return "b(%d,%d)" % (self.alpha, self.beta)
 
 
-class ContinuedFraction(namedtuple("ContinuedFraction", "entries")):
+class ContinuedFraction(checked_namedtuple("ContinuedFraction", "entries")):
     """Tower c_1 + 1/(c_2 + 1/(... + 1/c_m)) with nonzero integer entries."""
 
     __slots__ = ()
@@ -55,7 +56,7 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "entries")):
         return Fraction(h, k)
 
 
-class EvenConwayForm(namedtuple("EvenConwayForm", "q s")):
+class EvenConwayForm(checked_namedtuple("EvenConwayForm", "q s")):
     """Parameters (q_j, s_j) of the all-even expansion [-2q_1, 2s_1, ..., -2q_m, 2s_m].
 
     For a link the trailing 2*s_m entry is absent, so s has length m - 1.

@@ -6,18 +6,30 @@ stored words are freely reduced.  Products, powers, inverses and shifts of
 reduced words merge only where two reduced parts meet.
 """
 
-from collections import namedtuple
+from .values import checked_namedtuple
 
 
-class FreeWord(namedtuple("FreeWord", "letters")):
-    """Freely reduced word; letters is a tuple of (index, nonzero exponent)."""
+class FreeWord(checked_namedtuple("FreeWord", "letters")):
+    """Freely reduced word; letters is a tuple of (index, nonzero exponent).
+    Its length is its number of syllables; words multiply, never add."""
 
     __slots__ = ()
 
     def __new__(cls, letters: tuple = ()):
         return tuple.__new__(cls, (_merge(letters),))
 
+    def __len__(self):
+        return len(self.letters)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
+        if not isinstance(other, FreeWord):
+            return NotImplemented
         # only the syllables where the two reduced words meet cancel or merge
         a, b = self.letters, other.letters
         j = 0
@@ -43,16 +55,16 @@ class FreeWord(namedtuple("FreeWord", "letters")):
                 square = square * square
         return out
 
-    def shift(self, d: int, n: int) -> "FreeWord":
-        """Index shift x_i -> x_{i+d}, residues 1..n.  The shift permutes
-        1..n, so a word on those indices stays reduced; others may merge."""
-        letters = tuple([((i - 1 + d) % n + 1, e) for i, e in self.letters])
-        if all(0 < i <= n for i, _ in self.letters):
+    def shift(self, d: int, n: int, fixed: int = 0) -> "FreeWord":
+        """Index shift x_i -> x_{i+d}, residues 1..n, that fixes x_{n+1} ..
+        x_{n+fixed}.  The shift permutes 1..n+fixed, so a word on those
+        indices stays reduced; others may merge."""
+        top = n + fixed
+        letters = tuple([(i if n < i <= top else (i - 1 + d) % n + 1, e)
+                         for i, e in self.letters])
+        if all(0 < i <= top for i, _ in self.letters):
             return _reduced(letters)
         return FreeWord(letters)
-
-    def is_empty(self) -> bool:
-        return not self.letters
 
 
 def _reduced(letters) -> FreeWord:
@@ -85,7 +97,7 @@ def format_word(w: FreeWord) -> str:
     return " ".join("x%d" % i if e == 1 else "x%d^%d" % (i, e) for i, e in w.letters)
 
 
-class Presentation(namedtuple("Presentation", "generator_count relators")):
+class Presentation(checked_namedtuple("Presentation", "generator_count relators")):
     __slots__ = ()
 
     def __new__(cls, generator_count: int, relators: tuple):
@@ -108,44 +120,51 @@ class Presentation(namedtuple("Presentation", "generator_count relators")):
         return rows
 
 
-class CyclicPresentation(namedtuple("CyclicPresentation", "n w")):
-    """G_n(w): generators x_1..x_n, relators the shifts of the defining word."""
+class CyclicPresentation(checked_namedtuple("CyclicPresentation", "n families fixed")):
+    """A presentation that the index shift x_i -> x_{i+1} (mod n) maps to
+    itself: generators x_1..x_n and x_{n+1}..x_{n+fixed}, which the shift
+    fixes; for each (word, count) of families, the relators are the first
+    count shifts of the word.  G_n(w) is the one family (w, n)."""
 
     __slots__ = ()
 
+    def __new__(cls, n: int, families: tuple, fixed: int = 0):
+        return tuple.__new__(cls, (n, tuple(families), fixed))
+
     @property
     def generator_count(self) -> int:
-        return self.n
+        return self.n + self.fixed
+
+    @property
+    def w(self) -> FreeWord:
+        """The defining word of G_n(w)."""
+        if len(self.families) != 1 or self.families[0][1] != self.n or self.fixed:
+            raise ValueError("%r is not of the form G_n(w)" % (self,))
+        return self.families[0][0]
+
+    @property
+    def relators(self) -> tuple:
+        n, fixed = self.n, self.fixed
+        return tuple(w.shift(d, n, fixed) for w, count in self.families for d in range(count))
 
     def expand(self) -> Presentation:
-        return Presentation(self.n, tuple(self.w.shift(d, self.n) for d in range(self.n)))
+        return Presentation(self.generator_count, self.relators)
 
     def relator_matrix(self) -> list:
-        """The rows of ``expand().relator_matrix()``, read off f_w(t) once:
-        the relator shifted by d abelianizes to f_w(t) rotated by d columns
-        (the circulant of f_w)."""
-        n, letters = self.n, self.w.letters
-        base = letters[0][0] - 1 if letters else 0
-        row = {(base + off) % n: c for off, c in word_polynomial(self).coefficients.items()}
-        return [{(j + d) % n: c for j, c in row.items()} for d in range(n)]
-
-
-def word_polynomial(cp: CyclicPresentation) -> "LaurentPolynomial":
-    """f_w(t): index-wise exponent sums of the defining word, exponents taken
-    relative to the first letter's index with representatives in (-n/2, n/2],
-    so words spanning less than the index circle get n-independent output."""
-    w = cp.w
-    if w.is_empty():
-        return LaurentPolynomial()
-    n = cp.n
-    base = w.letters[0][0]
-    coeffs = {}
-    for i, e in w.letters:
-        off = (i - base) % n
-        if off > n // 2:
-            off -= n
-        coeffs[off] = coeffs.get(off, 0) + e
-    return LaurentPolynomial(coeffs)
+        """The rows of ``expand().relator_matrix()``, one abelianized word per
+        family: its shift by d is its row with columns 0..n-1 rotated by d
+        (the circulant of f_w(t)) and the fixed columns left in place."""
+        n, top, rows = self.n, self.n + self.fixed, []
+        for w, count in self.families:
+            row = {}
+            for i, e in w.letters:
+                col = i - 1 if n < i <= top else (i - 1) % n
+                x = row.pop(col, 0) + e
+                if x:
+                    row[col] = x
+            entries = row.items()
+            rows += [{(j + d) % n if j < n else j: c for j, c in entries} for d in range(count)]
+        return rows
 
 
 class LaurentPolynomial:

@@ -7,6 +7,8 @@ from bridgecovers import polyhedral
 from bridgecovers.cli import main
 from bridgecovers.polyhedral import (
     MinkusSchema,
+    _classes,
+    _Gluing,
     build_minkus,
     quotient_counts,
     schema_presentation,
@@ -33,7 +35,7 @@ def test_build_validation():
 
 def test_cell_counts():
     s = build_minkus(3, 1, 5, 3)
-    assert len(polyhedral._faces(s)) == 2 * s.n
+    assert len(_faces(s)) == 2 * s.n
     assert s.vertex_count == s.n * (s.p - 1) + 2
     assert s.edge_count == s.n * s.p + s.n
     counts = quotient_counts(s)
@@ -100,7 +102,7 @@ def _vertex_name(s, v):
 def test_marked_vertices():
     s = build_minkus(3, 1, 5, 3)
     # P_i is the arc endpoint q steps below N on semicircle i
-    marked = [polyhedral._semicircle(s, i)[s.q] for i in range(s.n)]
+    marked = [_semicircle(s, i)[s.q] for i in range(s.n)]
     names = [_vertex_name(s, v) for v in marked]
     assert names == ["v(0,3)", "v(1,3)", "v(2,3)"]
 
@@ -111,7 +113,7 @@ def test_hantzsche_wendt_schema_regions():
     assert s.pairing_shift == 1
     regions = {("R'%d" if f % 2 else "R%d") % (f // 2):
                " ".join(_vertex_name(s, v) for v in verts)
-               for f, (verts, _) in enumerate(polyhedral._faces(s))}
+               for f, (verts, _) in enumerate(_faces(s))}
     assert regions == {
         "R0": "N v(0,1) v(0,2) v(0,3) v(1,2) v(1,1)",
         "R'0": "v(0,3) v(0,4) S v(1,4) v(1,3) v(1,2)",
@@ -170,3 +172,102 @@ def test_each_call_glues_once(monkeypatch, capsys):
     schema_presentation(s)
     quotient_counts(s)
     assert len(calls) == 3
+
+
+# ---- oracle: the gluing read off explicit per-face vertex and slot lists ----
+
+def _semicircle(s, i):
+    """Vertex ids at heights 0..p on semicircle i (mod n): N, v(i,1..p-1), S."""
+    first = 2 + (i % s.n) * (s.p - 1)
+    return [0, *range(first, first + s.p - 1), 1]
+
+
+def _faces(s):
+    """Regions R_0, R'_0, R_1, R'_1, ... as (vertex cycle, slot list).
+
+    Edge ids: semicircle segment sc(i,t) = i*p + t runs v(i,t) -> v(i,t+1);
+    bisecting arc arc(i) = n*p + i runs v(i,q) -> v(i+1, p-q).  A slot holds
+    the directed edge met there, numbered 2e along edge e and 2e + 1 against.
+    """
+    n, p, q = s.n, s.p, s.q
+    faces = []
+    for i in range(n):
+        j = (i + 1) % n
+        here, there = _semicircle(s, i), _semicircle(s, j)
+        # R_i: down semicircle i to the arc, back up semicircle i+1 to N
+        verts = here[:q + 1] + there[p - q:0:-1]
+        slots = ([2 * (i * p + t) for t in range(q)] + [2 * (n * p + i)]
+                 + [2 * (j * p + t) + 1 for t in range(p - q - 1, -1, -1)])
+        faces.append((verts, slots))
+        # R'_i: from the arc down semicircle i to S, back up semicircle i+1
+        verts = here[q:] + there[p - 1:p - q - 1:-1]
+        slots = ([2 * (i * p + t) for t in range(q, p)]
+                 + [2 * (j * p + t) + 1 for t in range(p - 1, p - q - 1, -1)]
+                 + [2 * (n * p + i) + 1])
+        faces.append((verts, slots))
+    for verts, slots in faces:
+        assert len(verts) == p + 1 and len(slots) == p + 1
+    return faces
+
+
+def glue_reference(s):
+    """The gluing of R_i to R'_{i - shift}, paired list by list: north
+    position q (the marked vertex) to south position 0, the slots after each
+    running on in opposite directions; relators walked in slot order."""
+    faces = _faces(s)
+    n, q = s.n, s.q
+    directed = 2 * s.edge_count
+    assert len({de for _, slots in faces for de in slots}) == directed
+    nxt = [0] * directed
+    letter = [None] * directed
+    vertex_pairs = []
+    for i in range(n):
+        l = (i - s.pairing_shift) % n
+        (nverts, nslots), (sverts, sslots) = faces[2 * i], faces[2 * l + 1]
+        forward, backward = (i + 1, +1), (i + 1, -1)
+        for a, b in zip(nslots[q:] + nslots[:q], sslots[::-1]):
+            nxt[a], nxt[b] = b ^ 1, a ^ 1
+            letter[a], letter[b] = forward, backward
+        vertex_pairs += zip(nverts[q:] + nverts[:q], sverts[:1] + sverts[:0:-1])
+    vertex_class = _classes(s.vertex_count, vertex_pairs)
+    relators = []
+    seen = [False] * directed
+    for _, slots in faces:
+        for de0 in slots:
+            if seen[de0]:
+                continue
+            rel = []
+            de = de0
+            while True:
+                seen[de] = seen[de ^ 1] = True
+                rel.append(letter[de])
+                de = nxt[de]
+                if de == de0:
+                    break
+            relators.append(tuple(rel))
+    return _Gluing(vertex_class, relators)
+
+
+def test_glue_against_face_lists():
+    # p <= 16 of both parities, every odd q, n <= 10 and every k: the same
+    # vertex classes (union order included) and relators in the same order
+    for p in range(2, 17):
+        for q in range(1, p, 2):
+            if gcd(p, q) != 1:
+                continue
+            for n in range(2, 11):
+                for k in range(1, n):
+                    s = build_minkus(n, k, p, q)
+                    assert polyhedral._glue(s) == glue_reference(s), s
+
+
+def test_glue_against_face_lists_at_every_pairing_shift():
+    # the literal shifts too, which are not manifolds for odd p
+    for p in (5, 6, 9):
+        for q in range(1, p, 2):
+            if gcd(p, q) != 1:
+                continue
+            for n in range(1, 7):
+                for shift in range(n):
+                    s = MinkusSchema(n, p, q, shift, shift)
+                    assert polyhedral._glue(s) == glue_reference(s), s

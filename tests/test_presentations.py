@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers.presentations import (
+    _mu3_shifts,
     alexander_polynomial,
     minkus_cyclic,
     minkus_presentation,
@@ -13,9 +14,9 @@ from bridgecovers.presentations import (
     takahashi_word,
 )
 from bridgecovers.two_bridge import EvenConwayForm, even_cf_expand, normalize
-from bridgecovers.words import CyclicPresentation, LaurentPolynomial, word, word_polynomial
+from bridgecovers.words import CyclicPresentation, FreeWord, LaurentPolynomial, word
 
-from laurent import unit_equal, unit_equal_mod
+from laurent import unit_equal, unit_equal_mod, word_polynomial
 
 
 def knots(amax):
@@ -103,11 +104,11 @@ def test_takahashi_rejects_links():
 
 def test_word_polynomial():
     w = word((3, -1), (2, 2), (1, -1), (2, 1))
-    p = word_polynomial(CyclicPresentation(5, w))
+    p = word_polynomial(CyclicPresentation(5, ((w, 5),)))
     assert unit_equal(p, LaurentPolynomial({-1: -1, 0: 3, 1: -1}))
-    p = word_polynomial(CyclicPresentation(5, word((1, 1), (2, -1), (3, 1))))
+    p = word_polynomial(CyclicPresentation(5, ((word((1, 1), (2, -1), (3, 1)), 5),)))
     assert p == LaurentPolynomial({0: 1, 1: -1, 2: 1})
-    assert word_polynomial(CyclicPresentation(3, word((1, 1)))) == LaurentPolynomial({0: 1})
+    assert word_polynomial(CyclicPresentation(3, ((word((1, 1)), 3),))) == LaurentPolynomial({0: 1})
 
 
 def test_alexander_polynomial():
@@ -207,3 +208,44 @@ def test_takahashi_word_against_all_index_recurrence(case):
     assume(gcd(alpha, beta) == 1)
     form = even_cf_expand(normalize(alpha, beta))
     assert takahashi_word(form, n).w == takahashi_reference(form, n)
+
+
+# ---- oracles: the link presentations built relator by relator ----
+
+def mu3_relators_reference(t, n, k):
+    """Q_{1+i} for i < gcd(n, k), then Q'_{1+i} for i < n, each the word
+    Q_1 or Q'_1 shifted by i."""
+    k %= n
+    e, s = _mu3_shifts(t.alpha, t.beta, k)
+    d = gcd(n, k)
+    q = FreeWord(tuple((-j * k % n + 1, 1) for j in range(n // d)))
+    q_prime = FreeWord(tuple((s[j] % n + 1, e[j]) for j in range(t.alpha)))
+    return tuple([q.shift(i, n) for i in range(d)] + [q_prime.shift(i, n) for i in range(n)])
+
+
+def minkus_link_relators_reference(t, n):
+    """x_n, then R_i y^{-1} for i < n with y = x_{n+1}."""
+    r = minkus_cyclic(t, n).w
+    return tuple([word((n, 1))] + [r.shift(i, n) * word((n + 1, -1)) for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda h: st.tuples(st.just(2 * h), st.integers(0, 2 * h - 1), st.integers(2, 12))))
+def test_link_presentations_rotate_their_rows(case):
+    # links with alpha <= 20, n <= 12 and every k != 0 mod n: the rows read
+    # by rotation are the abelianized relators, which are the ones built
+    # relator by relator
+    alpha, b, n = case
+    beta = 2 * b + 1
+    assume(gcd(alpha, beta) == 1)
+    t = normalize(alpha, beta)
+    minkus = minkus_presentation(t, n)
+    assert minkus.generator_count == n + 1
+    assert minkus.relators == minkus_link_relators_reference(t, n)
+    assert minkus.relator_matrix() == minkus.expand().relator_matrix()
+    for k in range(1, n):
+        mu3 = mu3_presentation(t, n, k)
+        assert mu3.generator_count == n
+        assert mu3.relators == mu3_relators_reference(t, n, k)
+        assert mu3.relator_matrix() == mu3.expand().relator_matrix(), k

@@ -49,8 +49,8 @@ VALUES = (
     (lambda: FreeWord(((1, 1), (1, 1), (2, 0))), "FreeWord(letters=((1, 2),))"),
     (lambda: Presentation(2, (FreeWord(((2, -1),)),)),
      "Presentation(generator_count=2, relators=(FreeWord(letters=((2, -1),)),))"),
-    (lambda: CyclicPresentation(3, FreeWord(((1, 1),))),
-     "CyclicPresentation(n=3, w=FreeWord(letters=((1, 1),)))"),
+    (lambda: CyclicPresentation(3, ((FreeWord(((1, 1),)), 3),), 1),
+     "CyclicPresentation(n=3, families=((FreeWord(letters=((1, 1),)), 3),), fixed=1)"),
 )
 
 
@@ -62,6 +62,55 @@ def test_value_type_contract(make, shown):
     for name in inspect.signature(type(a)).parameters:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(a, name))
+
+
+# (factory of a valid value, fields that __new__ rejects, anchored message);
+# one case for every value type whose __new__ checks its fields
+REJECTED = (
+    (lambda: TwoBridge(5, 3), {"beta": 10}, r"^beta 10 not reduced mod 10$"),
+    (lambda: TwoBridge(5, 3), {"alpha": 4, "beta": 2}, r"^gcd\(4, 2\) != 1$"),
+    (lambda: ContinuedFraction((1, 1, 2)), {"entries": (1, 0)},
+     r"^entries must be a nonempty sequence of nonzero integers$"),
+    (lambda: EvenConwayForm((1,), (-1,)), {"s": (1, 2)}, r"^inconsistent even form$"),
+    (lambda: CoveringSpec(5, (1, 2)), {"exponents": (5,)},
+     r"^exponents must be nonzero mod n$"),
+    (lambda: ColouredGraph(((1, 0),) * 4), {"involutions": ((1, 0),) * 3},
+     r"^need exactly four involutions$"),
+    (lambda: LMParams(3, 2, 5, 4), {"p": 4, "q": 2}, r"^gcd\(p, q\) must be 1$"),
+    (lambda: IntMatrix(2, [{0: 1}]), {"entries": [{2: 1}]},
+     r"^rows must map columns in range\(2\) to nonzero entries$"),
+    (lambda: AbelianGroup(1, (2, 4)), {"torsion": (4, 2)},
+     r"^torsion is not a divisibility chain$"),
+    (lambda: Presentation(2, ()), {"relators": (FreeWord(((3, 1),)),)},
+     r"^letter index 3 out of range$"),
+)
+
+
+@pytest.mark.parametrize("make, fields, message", REJECTED,
+                         ids=["%s-%s" % (make().__class__.__name__, "-".join(fields))
+                              for make, fields, _ in REJECTED])
+def test_make_and_replace_check_their_fields(make, fields, message):
+    value = make()
+    with pytest.raises(ValueError, match=message):
+        value._replace(**fields)
+    with pytest.raises(ValueError, match=message):
+        type(value)._make(tuple(fields.get(name, getattr(value, name))
+                                for name in value._fields))
+
+
+def test_make_and_replace_normalize_their_fields():
+    # the same normal form as the constructor gives
+    assert CoveringSpec(5, (1, 2))._replace(exponents=(6, 7)) == CoveringSpec(5, (1, 2))
+    assert CoveringSpec._make((5, (6, 7))).exponents == (1, 2)
+    assert LMParams(3, 2, 5, 4)._replace(c=5) == LMParams(3, 2, 1, 2, 1)
+    assert FreeWord._make((((1, 1), (1, -1), (2, 3)),)) == FreeWord(((2, 3),))
+    w = FreeWord(((1, 1),))
+    assert w._replace(letters=((1, 2), (1, -2))) == FreeWord()
+    cp = CyclicPresentation(3, [(w, 3)])
+    assert cp == CyclicPresentation._make((3, [(w, 3)], 0)) and hash(cp) == hash(cp._replace())
+    for make, _ in VALUES:
+        value = make()
+        assert type(value)._make(iter(value)) == value == value._replace()
 
 
 def test_value_types_with_list_fields_are_unhashable():

@@ -21,15 +21,15 @@ def test_merge_and_reduce():
     w = word((1, 1), (1, 2), (2, -1))
     assert w.letters == ((1, 3), (2, -1))
     w = word((1, 1), (1, -1))
-    assert w.is_empty()
+    assert w == FreeWord()
     w = word((1, 1), (2, 1), (2, -1), (1, 1))
     assert w.letters == ((1, 2),)
 
 
 def test_inverse_cancels():
     w = word((3, -2), (1, 1), (2, 4))
-    assert (w.inverse() * w).is_empty()
-    assert (w * w.inverse()).is_empty()
+    assert w.inverse() * w == FreeWord()
+    assert w * w.inverse() == FreeWord()
     assert w.inverse().inverse() == w
 
 
@@ -40,6 +40,22 @@ def test_power():
     assert w ** -1 == w.inverse()
 
 
+def test_word_length_counts_syllables():
+    w = word((1, 2), (2, -1), (1, 1))
+    assert len(w) == len(w.letters) == 3
+    assert len(FreeWord()) == 0 and len(word((1, 1), (1, -1))) == 0
+    # still a one-field value: unpacking and indexing see the letters
+    letters, = w
+    assert letters == w[0] == w.letters
+
+
+def test_words_multiply_and_never_add_or_repeat():
+    w = word((1, 2), (2, -1))
+    for make in (lambda: w + w, lambda: 2 * w, lambda: w * 2, lambda: w + (1,),
+                 lambda: sum([w, w], FreeWord())):
+        with pytest.raises(TypeError):
+            make()
+    assert w * w == w ** 2 == word((1, 2), (2, -1), (1, 2), (2, -1))
 
 
 # indices beyond 1..n as well, so that a shift can make two syllables meet
@@ -113,7 +129,7 @@ def test_presentation_json_roundtrip():
 
 
 def test_cyclic_presentation_expand():
-    cp = CyclicPresentation(4, word((1, 1), (2, -1)))
+    cp = CyclicPresentation(4, ((word((1, 1), (2, -1)), 4),))
     pres = cp.expand()
     assert pres.generator_count == 4
     assert len(pres.relators) == 4
@@ -130,7 +146,7 @@ def test_cyclic_presentation_expand():
 @given(st.integers(1, 12),
        st.lists(st.tuples(st.integers(-15, 30), st.integers(-3, 3)), max_size=12))
 def test_cyclic_relator_matrix_is_the_expanded_one(n, letters):
-    cp = CyclicPresentation(n, FreeWord(tuple(letters)))
+    cp = CyclicPresentation(n, ((FreeWord(tuple(letters)), n),))
     assert cp.generator_count == n
     assert cp.relator_matrix() == cp.expand().relator_matrix()
 
@@ -143,7 +159,7 @@ def test_reduction_confluent():
         # no adjacent syllables share an index, no zero exponents
         for (i, e), (j, _) in zip(w.letters, w.letters[1:]):
             assert i != j and e != 0
-        assert (w.inverse() * w).is_empty()
+        assert w.inverse() * w == FreeWord()
 
 
 def test_laurent_polynomial():

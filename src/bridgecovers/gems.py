@@ -11,7 +11,6 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .covering import CoveringSpec
-from .polyhedral import _classes
 from .two_bridge import normalize
 from .values import checked_namedtuple
 
@@ -151,6 +150,24 @@ def build_lins_mandel(params: LMParams) -> ColouredGraph:
 def build_generalized(params: LMParams) -> ColouredGraph:
     """Same as build_lins_mandel; colour 1 shifts columns by c'."""
     return _build(params)
+
+
+def _classes(size: int, pairs) -> list:
+    """Representative of each of 0..size-1 once every pair is identified."""
+    parent = list(range(size))
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        parent[x] = y
+    for v in range(size):
+        # point every id straight at its root
+        while parent[parent[v]] != parent[v]:
+            parent[v] = parent[parent[v]]
+    return parent
 
 
 def _cycle_classes(g: ColouredGraph, first: tuple, second: tuple) -> int:

@@ -16,10 +16,9 @@ requested k is only recorded.
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
-from .words import FreeWord, Presentation
+from .words import CyclicPresentation, FreeWord
 
 
 class CellComplexCounts(namedtuple("CellComplexCounts", "t0 t1 t2 t3")):
@@ -32,15 +31,6 @@ class CellComplexCounts(namedtuple("CellComplexCounts", "t0 t1 t2 t3")):
 
 class MinkusSchema(namedtuple("MinkusSchema", "n p q k pairing_shift")):
     # no __slots__: the cached gluing lives in the instance dict
-
-    @property
-    def vertex_count(self) -> int:
-        # poles plus p-1 subdivision points per semicircle
-        return self.n * (self.p - 1) + 2
-
-    @property
-    def edge_count(self) -> int:
-        return self.n * self.p + self.n
 
     @cached_property
     def _gluing(self) -> "_Gluing":
@@ -60,28 +50,11 @@ def build_minkus(n: int, k: int, p: int, q: int) -> MinkusSchema:
     return MinkusSchema(n, p, q, k % n, shift)
 
 
-def _classes(size: int, pairs) -> list:
-    """Representative of each of 0..size-1 once every pair is identified."""
-    parent = list(range(size))
-    for x, y in pairs:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        parent[x] = y
-    for v in range(size):
-        # point every id straight at its root
-        while parent[parent[v]] != parent[v]:
-            parent[v] = parent[parent[v]]
-    return parent
-
-
-class _Gluing(namedtuple("_Gluing", "vertex_class relators")):
-    """The quotient of a schema under R_i -> R'_{i - shift}: the class of
-    each vertex, and one relator per edge class as a tuple of (generator,
-    sign) letters."""
+class _Gluing(namedtuple("_Gluing", "t0 families")):
+    """The quotient of a schema under R_i -> R'_{i - shift}, read up to the
+    rotation i -> i+1: the number of vertex classes, and for each rotation
+    orbit of edge classes a (relator, orbit size) family whose shifts by
+    0 .. size-1 are the relators of the orbit's classes."""
 
     __slots__ = ()
 
@@ -89,89 +62,108 @@ class _Gluing(namedtuple("_Gluing", "vertex_class relators")):
 def _glue(s: MinkusSchema) -> _Gluing:
     """Pair the faces orientation-reversingly and read off the quotient.
 
-    Vertex 0 is N, 1 is S, and 1 + i*(p-1) + h is the point at height h on
-    semicircle i.  Edge i*p + t runs up semicircle i from height t to t+1;
-    edge n*p + i is the arc from height q on semicircle i to height p-q on
-    i+1.  A slot holds the directed edge met there, numbered 2e along edge e
-    and 2e + 1 against it.  Going from N, R_i meets semicircle i down to the
-    arc and semicircle i+1 back up; R'_i meets semicircle i from the arc down
-    to S, semicircle i+1 back up, and the arc backwards.
+    The rotation i -> i+1 of the ball maps the face pair R_i <-> R'_{i-shift}
+    to the next one, so only R_0 <-> R'_{-shift} is glued.  A directed edge
+    is (representative, offset): representative 2t + d is segment t of a
+    semicircle, from height t to t+1, run along it (d = 0) or against it
+    (d = 1), and 2p + d is the arc from height q on a semicircle to height
+    p-q on the next; the offset is the index of the (first) semicircle.  A
+    vertex is (height, offset), N at height 0 and S at height p, both fixed
+    by the rotation.  Going from N, R_i meets semicircle i down to the arc
+    and semicircle i+1 back up; R'_i meets semicircle i from the arc down to
+    S, semicircle i+1 back up, and the arc backwards.
 
     R_i is glued to R'_l, l = i - shift: its slot at position (q+m) mod (p+1)
     (the marked vertex is position q) to the slot of R'_l at position p - m,
     and its vertex there to the vertex of R'_l at position (p+1-m) mod (p+1).
     Going around an edge class crosses one face pair per step: from the slot
     holding a directed edge to its partner slot, then on along the partner's
-    edge reversed.  Each edge lies in exactly two slots, so this cycle covers
-    its whole class, and the reversed directed edges form the reverse cycle.
+    edge reversed.  Each directed edge lies in exactly one slot, so the walk
+    from (e, 0) covers its whole class, and the reversed directed edges form
+    the reverse cycle.  The walk from (e, c) is that walk rotated by c, so
+    the class's orbit under the rotation has gcd(n, c) classes, c over the
+    offsets at which the walk meets e in either direction.
     """
-    n, p, q = s.n, s.p, s.q
-    r, arc, up = p - q, 2 * n * p, p - 1
-    directed = 2 * s.edge_count
-    nxt = [-1] * directed
-    letter = [None] * directed
-    vertex_pairs = []
-    for i in range(n):
-        j, l = (i + 1) % n, (i - s.pairing_shift) % n
-        lj = (l + 1) % n
-        ni, nj, nl, nlj = 2 * i * p, 2 * j * p, 2 * l * p, 2 * lj * p
-        forward, backward = (i + 1, +1), (i + 1, -1)
-        # the north slots from the marked vertex's position q on, against
-        # the south slots from position p back
-        north = chain((arc + 2 * i,), range(nj + 2 * r - 1, nj, -2), range(ni, ni + 2 * q, 2))
-        south = chain((arc + 2 * l + 1,), range(nlj + 2 * r + 1, nlj + 2 * p, 2),
-                      range(nl + 2 * p - 2, nl + 2 * q - 2, -2))
-        for a, b in zip(north, south):
-            nxt[a], nxt[b] = b ^ 1, a ^ 1
-            letter[a], letter[b] = forward, backward
-        # their vertices: the north ones from position q on (N at m = r+1),
-        # the south ones at position 0 and then from p back (S at m = q+1)
-        vertex_pairs += zip(
-            [1 + i * up + q, *range(1 + j * up + r, 1 + j * up, -1),
-             0, *range(2 + i * up, 1 + i * up + q)],
-            [1 + l * up + q, *range(1 + lj * up + r, 1 + lj * up + p),
-             1, *range(l * up + p, 1 + l * up + q, -1)])
-    # each directed edge lies in exactly one of the 2n(p+1) slots
-    assert -1 not in nxt and None not in letter
-    vertex_class = _classes(s.vertex_count, vertex_pairs)
+    n, p, q, shift = s.n, s.p, s.q, s.pairing_shift
+    r, arc = p - q, 2 * p
+    # the slots of R_0 from the marked vertex's position q on, against those
+    # of R'_{-shift} from position p back, as (representative, offset).  From
+    # the edge in a slot the walk goes on along the partner's edge reversed,
+    # and reads generator i+1 of the pair R_i <-> R'_{i-shift} that holds the
+    # slot: i is the edge's offset less the slot's
+    north = [(arc, 0), *((2 * t + 1, 1) for t in range(r - 1, -1, -1)),
+             *((2 * t, 0) for t in range(q))]
+    south = [(arc + 1, -shift), *((2 * t + 1, 1 - shift) for t in range(r, p)),
+             *((2 * t, -shift) for t in range(p - 1, q - 1, -1))]
+    cross = [None] * (2 * p + 2)
+    for (a, oa), (b, ob) in zip(north, south):
+        cross[a] = (b ^ 1, ob - oa, oa, 1)
+        cross[b] = (a ^ 1, oa - ob, ob, -1)
+    # each representative lies in exactly one of the 2(p+1) slots
+    assert None not in cross
 
-    # one relator per edge class: walk each cycle from its first directed
-    # edge in slot order (R_0, R'_0, R_1, ...), and retire its reverse with it
-    relators = []
-    seen = [False] * directed
-    for i in range(n):
-        ni, nj = 2 * i * p, 2 * ((i + 1) % n) * p
-        for de0 in chain(range(ni, ni + 2 * q, 2), (arc + 2 * i,),
-                         range(nj + 2 * r - 1, nj, -2),
-                         range(ni + 2 * q, ni + 2 * p, 2),
-                         range(nj + 2 * p - 1, nj + 2 * r, -2), (arc + 2 * i + 1,)):
-            if seen[de0]:
-                continue
-            rel = []
-            de = de0
-            while True:
-                seen[de] = seen[de ^ 1] = True
-                rel.append(letter[de])
-                de = nxt[de]
-                if de == de0:
-                    break
-            relators.append(tuple(rel))
-    return _Gluing(vertex_class, relators)
+    # one family per orbit of edge classes, walked from the first
+    # representative it has not met, in either direction, at offset 0
+    families = []
+    seen = [False] * (2 * p + 2)
+    for e0 in range(0, 2 * p + 2, 2):
+        if seen[e0]:
+            continue
+        rel, size = [], n
+        e, off = e0, 0
+        while True:
+            seen[e] = seen[e ^ 1] = True
+            if e >> 1 == e0 >> 1:
+                size = gcd(size, off)
+            e, step, base, sign = cross[e]
+            rel.append(((off - base) % n + 1, sign))
+            off = (off + step) % n
+            if e == e0 and off == 0:
+                break
+        families.append((FreeWord(rel), size))
+
+    # vertex classes: a union-find over the heights that carries offsets,
+    # (v, c) ~ (parent[v], c + lift[v]); a cycle of offset c makes its class
+    # invariant under rotation by c, and a class with a pole under all of them
+    parent, lift = list(range(p + 1)), [0] * (p + 1)
+    orbit = [1] + [n] * (p - 1) + [1]
+    # the vertices of the pair: the north ones from position q on (N at
+    # m = r+1), the south ones at position 0 and then from p back (S at m = q+1)
+    north = [(q, 0), *((h, 1) for h in range(r, 0, -1)), (0, 0),
+             *((h, 0) for h in range(1, q))]
+    south = [(q, -shift), *((h, 1 - shift) for h in range(r, p)), (p, 0),
+             *((h, -shift) for h in range(p - 1, q, -1))]
+    for (u, a), (v, b) in zip(north, south):
+        # to the roots; the finds of a gluing walk fewer than p links in all
+        # (every odd q coprime to p <= 400), so the paths are not compressed
+        while parent[u] != u:
+            a += lift[u]
+            u = parent[u]
+        while parent[v] != v:
+            b += lift[v]
+            v = parent[v]
+        if u == v:
+            orbit[u] = gcd(orbit[u], b - a)
+        else:
+            parent[u], lift[u] = v, b - a
+            orbit[v] = gcd(orbit[v], orbit[u])
+    t0 = sum(orbit[v] for v in range(p + 1) if parent[v] == v)
+    return _Gluing(t0, tuple(families))
 
 
 def quotient_counts(s: MinkusSchema) -> CellComplexCounts:
     """Cell counts of the identification space."""
     g = s._gluing
-    t0, t1 = len(set(g.vertex_class)), len(g.relators)
-    t2, t3 = s.n, 1
-    return CellComplexCounts(t0, t1, t2, t3)
+    t1 = sum(count for _, count in g.families)
+    return CellComplexCounts(g.t0, t1, s.n, 1)
 
 
-def schema_presentation(s: MinkusSchema) -> Presentation:
+def schema_presentation(s: MinkusSchema) -> CyclicPresentation:
     """Fundamental-group presentation: one generator per face pair, one
-    relator per edge class, read around the edge."""
+    relator per edge class, read around the edge; the rotation shifts the
+    generators and permutes the relators of each orbit of edge classes."""
     counts = quotient_counts(s)
     if counts.chi != 0:
         raise ValueError("chi = %d" % counts.chi)
-    return Presentation(s.n, tuple(FreeWord(rel) for rel in s._gluing.relators))
+    return CyclicPresentation(s.n, s._gluing.families)
 

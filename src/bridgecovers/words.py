@@ -129,7 +129,14 @@ class CyclicPresentation(checked_namedtuple("CyclicPresentation", "n families fi
     __slots__ = ()
 
     def __new__(cls, n: int, families: tuple, fixed: int = 0):
-        return tuple.__new__(cls, (n, tuple(families), fixed))
+        families = tuple(families)
+        for w, count in families:
+            if not 1 <= count <= n:
+                raise ValueError("family count %d out of range" % count)
+            for i, _ in w.letters:
+                if not 1 <= i <= n + fixed:
+                    raise ValueError("letter index %d out of range" % i)
+        return tuple.__new__(cls, (n, families, fixed))
 
     @property
     def generator_count(self) -> int:

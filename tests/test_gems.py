@@ -14,6 +14,7 @@ from bridgecovers.gems import (
     LMParams,
     OutOfRange,
     SPHERE,
+    _classes,
     _residue_count,
     build_generalized,
     build_lins_mandel,
@@ -26,7 +27,6 @@ from bridgecovers.gems import (
     lm_isomorphic_closed_form,
     represented_covering,
 )
-from bridgecovers.polyhedral import _classes
 from bridgecovers.two_bridge import normalize
 
 

@@ -1,3 +1,5 @@
+import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -5,17 +7,16 @@ import pytest
 from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers import polyhedral
 from bridgecovers.cli import main
+from bridgecovers.gems import _classes
 from bridgecovers.polyhedral import (
     MinkusSchema,
-    _classes,
-    _Gluing,
     build_minkus,
     quotient_counts,
     schema_presentation,
 )
 from bridgecovers.presentations import minkus_presentation
 from bridgecovers.two_bridge import normalize
-from bridgecovers.words import format_word
+from bridgecovers.words import CyclicPresentation, FreeWord, format_word
 
 
 def test_build_validation():
@@ -35,9 +36,12 @@ def test_build_validation():
 
 def test_cell_counts():
     s = build_minkus(3, 1, 5, 3)
-    assert len(_faces(s)) == 2 * s.n
-    assert s.vertex_count == s.n * (s.p - 1) + 2
-    assert s.edge_count == s.n * s.p + s.n
+    faces = _faces(s)
+    assert len(faces) == 2 * s.n
+    # poles plus p-1 subdivision points per semicircle; each segment and arc
+    # lies in two slots, once each way
+    assert len({v for verts, _ in faces for v in verts}) == s.n * (s.p - 1) + 2
+    assert len({de for _, slots in faces for de in slots}) == 2 * (s.n * s.p + s.n)
     counts = quotient_counts(s)
     assert counts.chi == 0
     assert counts.t3 == 1
@@ -125,10 +129,11 @@ def test_hantzsche_wendt_schema_regions():
 
 
 def test_hantzsche_wendt_schema_content():
-    # vertex classes, cells and relators in their established order
+    # vertex classes (from the face lists), cells, and the relators of the
+    # two families in their established order
     s = build_minkus(3, 1, 5, 3)
     classes = {}
-    for v, root in enumerate(s._gluing.vertex_class):
+    for v, root in enumerate(glue_reference(s)[0]):
         classes.setdefault(root, []).append(_vertex_name(s, v))
     assert list(classes.values()) == [
         ["N", "v(0,2)", "v(0,4)", "v(1,2)", "v(1,4)", "v(2,2)", "v(2,4)"],
@@ -138,9 +143,9 @@ def test_hantzsche_wendt_schema_content():
     assert (counts.t0, counts.t1, counts.t2, counts.t3, counts.chi) == (2, 4, 3, 1, 0)
     assert [format_word(r) for r in schema_presentation(s).relators] == [
         "x1 x2^-1 x1^2 x3^-1",
-        "x1 x3^-1 x2 x3^-2",
+        "x2 x3^-1 x2^2 x1^-1",
+        "x3 x1^-1 x3^2 x2^-1",
         "x1 x3 x2",
-        "x1 x2^-2 x3 x2^-1",
     ]
 
 
@@ -213,10 +218,11 @@ def _faces(s):
 def glue_reference(s):
     """The gluing of R_i to R'_{i - shift}, paired list by list: north
     position q (the marked vertex) to south position 0, the slots after each
-    running on in opposite directions; relators walked in slot order."""
+    running on in opposite directions.  Returns the class representative of
+    each vertex and one relator per edge class, walked in slot order."""
     faces = _faces(s)
-    n, q = s.n, s.q
-    directed = 2 * s.edge_count
+    n, p, q = s.n, s.p, s.q
+    directed = 2 * (n * p + n)
     assert len({de for _, slots in faces for de in slots}) == directed
     nxt = [0] * directed
     letter = [None] * directed
@@ -229,7 +235,7 @@ def glue_reference(s):
             nxt[a], nxt[b] = b ^ 1, a ^ 1
             letter[a], letter[b] = forward, backward
         vertex_pairs += zip(nverts[q:] + nverts[:q], sverts[:1] + sverts[:0:-1])
-    vertex_class = _classes(s.vertex_count, vertex_pairs)
+    vertex_class = _classes(n * (p - 1) + 2, vertex_pairs)
     relators = []
     seen = [False] * directed
     for _, slots in faces:
@@ -245,20 +251,44 @@ def glue_reference(s):
                 if de == de0:
                     break
             relators.append(tuple(rel))
-    return _Gluing(vertex_class, relators)
+    return vertex_class, relators
+
+
+def _cyclic_word(w):
+    """w as a cyclic word up to inversion: the least rotation of its
+    cyclically reduced letters, or of its inverse's, one letter per unit."""
+    letters = [(i, 1 if e > 0 else -1) for i, e in w.letters for _ in range(abs(e))]
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    inverse = [(i, -e) for i, e in reversed(letters)]
+    return min((tuple(c[k:] + c[:k]) for c in (letters, inverse) for k in range(len(c))),
+               default=())
+
+
+def assert_glued_as_face_lists(s):
+    """The rotation families against the gluing of every face pair: as many
+    vertex classes, and the same relators as cyclic words up to inversion."""
+    g = polyhedral._glue(s)
+    vertex_class, relators = glue_reference(s)
+    assert g.t0 == len(set(vertex_class)), s
+    expanded = CyclicPresentation(s.n, g.families).relators
+    assert Counter(map(_cyclic_word, expanded)) == \
+        Counter(_cyclic_word(FreeWord(rel)) for rel in relators), s
+
+
+def manifold_schemata():
+    """p <= 16 of both parities, every odd q, n <= 10 and every k."""
+    for p in range(2, 17):
+        for q in range(1, p, 2):
+            if gcd(p, q) == 1:
+                for n in range(2, 11):
+                    for k in range(1, n):
+                        yield build_minkus(n, k, p, q)
 
 
 def test_glue_against_face_lists():
-    # p <= 16 of both parities, every odd q, n <= 10 and every k: the same
-    # vertex classes (union order included) and relators in the same order
-    for p in range(2, 17):
-        for q in range(1, p, 2):
-            if gcd(p, q) != 1:
-                continue
-            for n in range(2, 11):
-                for k in range(1, n):
-                    s = build_minkus(n, k, p, q)
-                    assert polyhedral._glue(s) == glue_reference(s), s
+    for s in manifold_schemata():
+        assert_glued_as_face_lists(s)
 
 
 def test_glue_against_face_lists_at_every_pairing_shift():
@@ -269,5 +299,25 @@ def test_glue_against_face_lists_at_every_pairing_shift():
                 continue
             for n in range(1, 7):
                 for shift in range(n):
-                    s = MinkusSchema(n, p, q, shift, shift)
-                    assert polyhedral._glue(s) == glue_reference(s), s
+                    assert_glued_as_face_lists(MinkusSchema(n, p, q, shift, shift))
+
+
+def test_manifold_schemata_have_two_shift_families():
+    # like mu3's (Q_1, gcd(n, k)) and (Q'_1, n): one orbit of edge classes
+    # of size gcd(n, shift) and one of size n
+    for s in manifold_schemata():
+        sizes = sorted(count for _, count in s._gluing.families)
+        assert sizes == sorted([gcd(s.n, s.pairing_shift), s.n]), s
+
+
+def test_gluing_ceiling_at_large_degree():
+    # a gluing of every face pair walks all 2n(p+1) slots, 0.24 s on a
+    # 2-core x86-64 virtual machine; one pair and the rotation take 2-3 ms
+    best = float("inf")
+    for _ in range(3):
+        s = build_minkus(5120, 7, 30, 7)
+        start = time.perf_counter()
+        counts = quotient_counts(s)
+        best = min(best, time.perf_counter() - start)
+        assert counts == (2, 5121, 5120, 1)
+    assert best < 0.1

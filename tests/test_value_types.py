@@ -83,6 +83,18 @@ REJECTED = (
      r"^torsion is not a divisibility chain$"),
     (lambda: Presentation(2, ()), {"relators": (FreeWord(((3, 1),)),)},
      r"^letter index 3 out of range$"),
+    # x_5 is no generator of n = 3, and x_4 only while it is fixed
+    (lambda: CyclicPresentation(3, ((FreeWord(((1, 1),)), 3),)),
+     {"families": ((FreeWord(((5, 1),)), 3),)}, r"^letter index 5 out of range$"),
+    (lambda: CyclicPresentation(3, ((FreeWord(((4, 1),)), 3),), 1), {"fixed": 0},
+     r"^letter index 4 out of range$"),
+    # a family has 1..n shifts
+    (lambda: CyclicPresentation(3, ((FreeWord(((1, 1),)), 3),)), {"n": 2},
+     r"^family count 3 out of range$"),
+    (lambda: CyclicPresentation(3, ((FreeWord(((1, 1),)), 3),)),
+     {"families": ((FreeWord(((1, 1),)), 7),)}, r"^family count 7 out of range$"),
+    (lambda: CyclicPresentation(3, ((FreeWord(((1, 1),)), 3),)),
+     {"families": ((FreeWord(((1, 1),)), 0),)}, r"^family count 0 out of range$"),
 )
 
 

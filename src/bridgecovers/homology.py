@@ -107,18 +107,20 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
     One sparse elimination with Euclidean pivot steps (Cohen, GTM 138,
-    2.4) on copies of the sparse rows of ``m``.  A new pivot p is a +-1 on
-    the shortest row holding one, or else the least entry of the shortest
-    row: short rows limit fill-in.  Every other row has the pivot's column
-    c reduced by q = f // p, and the least remainder left, on the shortest
-    row, is the next pivot.  Once column c is clear but for p, the column
-    operations that reduce the pivot row mod p change that row alone: it
-    leaves as the diagonal entry |p| (always, for a unit), or its least
-    entry left is the next pivot.  |p| falls until a row leaves, so the
-    loop ends.  The 1s skip the quadratic ``_chain``.
+    2.4) on copies of the sparse rows of ``m``.  A new pivot p is the first
+    +-1 of the first shortest row holding one, or else the least entry of
+    the shortest row: short rows limit fill-in.  A unit pivot clears its
+    column c in one exact pass, q = f * p on every row holding f in c, and
+    leaves with its row as a diagonal 1.  A non-unit pivot reduces c by
+    q = f // p on every other row, and the least remainder left, on the
+    shortest row, is the next pivot.  Once column c is clear but for p,
+    the column operations that reduce the pivot row mod p change that row
+    alone: it leaves as the diagonal entry |p|, or its least entry left
+    is the next pivot.  |p| falls until a row leaves, so the loop ends.
+    The 1s are counted and skip the quadratic ``_chain``.
     """
     rows = [dict(r) for r in m.entries if r]
-    diagonal, top = [], None
+    ones, diagonal, top = 0, [], None
     while rows or top:
         if top is None:
             piv = size = None
@@ -126,9 +128,31 @@ def smith_normal_form(m: IntMatrix) -> tuple:
                 if (piv is None or len(r) < size) and (1 in r.values() or -1 in r.values()):
                     piv, size = i, len(r)
             if piv is None:
-                piv = min(range(len(rows)), key=lambda i: len(rows[i]))
-            top = rows.pop(piv)
-            c, p = min(top.items(), key=lambda e: abs(e[1]))
+                top = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+                c, p = min(top.items(), key=lambda e: abs(e[1]))
+            else:
+                top = rows.pop(piv)
+                for c, p in top.items():
+                    if p == 1 or p == -1:
+                        break
+        if p == 1 or p == -1:
+            emptied = False
+            for r in rows:
+                f = r.get(c)
+                if f:
+                    q = f * p
+                    for j, x in top.items():
+                        y = r.get(j, 0) - q * x
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+                    emptied = emptied or not r
+            if emptied:
+                rows = [r for r in rows if r]
+            ones += 1
+            top = None
+            continue
         nxt, emptied = None, False
         for r in rows:
             f = r.get(c)
@@ -159,7 +183,7 @@ def smith_normal_form(m: IntMatrix) -> tuple:
             else:
                 diagonal.append(abs(p))
                 top = None
-    return (1,) * diagonal.count(1) + tuple(_chain(d for d in diagonal if d > 1))
+    return (1,) * ones + tuple(_chain(diagonal))
 
 
 def group_from_factors(rank: int, factors) -> AbelianGroup:

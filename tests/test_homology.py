@@ -207,6 +207,12 @@ def low_rank_matrices(draw):
 # the column of the pivot 2 is clear, and the pivot row reduced mod 2
 # keeps a 1, the next pivot
 @example([[2, 3]])
+# no +-1 entry: the pivot 2 leaves a 1 in the other row, which it does not
+# pivot on, and leaves as the diagonal 2; the 1 is then a fresh unit pivot
+@example([[2, 4], [4, 9]])
+# rank 2: the unit pivot of the first row empties the second and fourth
+# rows at once, and the rows left keep their order
+@example([[1, 2, 0], [2, 4, 0], [0, 2, 4], [3, 6, 0], [0, 4, 8]])
 def test_smith_vs_minors_oracle(entries):
     rows, cols = len(entries), len(entries[0])
     assert snf(entries, cols) == minors_gcd_factors(entries, rows, cols)
@@ -246,6 +252,21 @@ def test_large_degree_routes_agree(alpha, beta, factors):
     assert h1(takahashi) == group
     assert time.monotonic() - start < 1.0
     assert group.rank == 0 and len(group.torsion) == factors
+    assert group.order() == order_via_resultant(alexander_polynomial(t), n)
+
+
+def test_unit_pivots_at_large_degree():
+    # Delta of b(29, 12) has a +-1 coefficient: at n = 1280 the Minkus
+    # matrix is almost all unit pivots
+    t, n = normalize(29, 12), 1280
+    pres = minkus_presentation(t, n)
+    times = []
+    for _ in range(3):
+        start = time.monotonic()
+        group = h1(pres)
+        times.append(time.monotonic() - start)
+    assert min(times) < 1.0
+    assert group.rank == 0 and len(group.torsion) == 4
     assert group.order() == order_via_resultant(alexander_polynomial(t), n)
 
 

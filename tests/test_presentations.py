@@ -134,6 +134,26 @@ def test_minkus_takahashi_same_homology():
             assert a == b, (t, n, a, b)
 
 
+def test_knot_cyclic_presentations_share_one_circulant():
+    # both are G_n(w) with f_w = +-t^k Delta, so their abelianized rows are
+    # the same n rotations of one Laurent polynomial mod t^n - 1: for knots
+    # the two routes agree before any Smith normal form runs
+    count = 0
+    for alpha in range(3, 26, 2):
+        for beta in range(1, alpha):
+            if gcd(alpha, beta) != 1:
+                continue
+            t = normalize(alpha, beta)
+            form = even_cf_expand(t)
+            for n in range(1, 13):
+                minkus = minkus_presentation(t, n).relator_matrix()
+                takahashi = takahashi_word(form, n).relator_matrix()
+                assert ({frozenset(r.items()) for r in minkus}
+                        == {frozenset(r.items()) for r in takahashi}), (t, n)
+                count += 1
+    assert count == 1632
+
+
 def test_mu3_inverse_exponent():
     # k and k^{-1} mod n present the same covering
     for t in links(12):

@@ -3,7 +3,8 @@
 Exit status is 0 on success, 1 when a cross-route verification disagrees,
 2 on argument errors (usage goes to stderr).  --format json emits a single
 JSON object carrying a schema_version field; every record round-trips
-through json.loads.
+through json.loads.  Each verb's cmd_* returns (exit status, record), and its
+render_* builds the text lines from the record, for --format text only.
 """
 
 import argparse
@@ -45,16 +46,19 @@ def cmd_info(args):
             "kind": "knot" if t.is_knot else "link",
             "continued_fraction": list(cf_expand(t).entries),
             "even_form": list(even_cf_expand(t).entries())}
-    lines = ["%s: %s" % (t, "knot" if t.is_knot else "2-component link"),
-             "continued fraction: %s" % (data["continued_fraction"],),
-             "even form: %s" % (data["even_form"],)]
     if t.is_link:
         data["linking_number"] = linking_number(t)
-        lines.append("linking number: %d" % data["linking_number"])
     else:
         data["genus_one"] = is_genus_one(t)
-        lines.append("genus one: %s" % ("yes" if data["genus_one"] else "no"))
-    return 0, data, lines
+    return 0, data
+
+
+def render_info(args, d):
+    lines = ["%s: %s" % (d["link"], "knot" if d["kind"] == "knot" else "2-component link"),
+             "continued fraction: %s" % (d["continued_fraction"],),
+             "even form: %s" % (d["even_form"],)]
+    return lines + (["linking number: %d" % d["linking_number"]] if "linking_number" in d
+                    else ["genus one: %s" % ("yes" if d["genus_one"] else "no")])
 
 
 def cmd_classify(args):
@@ -63,25 +67,25 @@ def cmd_classify(args):
     cls = classify(spec)
     bounds = genus_bounds(t, spec)
     lens = lens_recognize(t, spec)
-    data = {"link": str(t), "degree": spec.n, "exponents": list(spec.exponents),
-            "classes": {"strictly": cls.strictly, "almost_strictly": cls.almost_strictly,
-                        "meridian": cls.meridian, "singly": cls.singly,
-                        # every cyclic covering is monodromy-cyclic
-                        "monodromy": True},
-            "geometry": geometry(t, spec).value,
-            "genus_bounds": {"general": bounds.general, "braid": bounds.braid,
-                             "symmetric": bounds.symmetric},
-            "lens": list(lens) if lens is not None else None}
-    flags = ", ".join(name for name in
-                      ("strictly", "almost_strictly", "meridian", "singly", "monodromy")
-                      if data["classes"][name])
-    lines = ["%s, degree %d, exponents %s" % (t, spec.n, list(spec.exponents)),
-             "classes: %s" % flags,
-             "geometry: %s" % data["geometry"],
-             "genus bounds: general %s, braid %s, symmetric %s"
-             % (bounds.general, bounds.braid, bounds.symmetric),
-             "lens space: %s" % ("L(%d, %d)" % lens if lens is not None else "not forced")]
-    return 0, data, lines
+    return 0, {"link": str(t), "degree": spec.n, "exponents": list(spec.exponents),
+               "classes": {"strictly": cls.strictly, "almost_strictly": cls.almost_strictly,
+                           "meridian": cls.meridian, "singly": cls.singly,
+                           # every cyclic covering is monodromy-cyclic
+                           "monodromy": True},
+               "geometry": geometry(t, spec).value,
+               "genus_bounds": {"general": bounds.general, "braid": bounds.braid,
+                                "symmetric": bounds.symmetric},
+               "lens": list(lens) if lens is not None else None}
+
+
+def render_classify(args, d):
+    lens = d["lens"]
+    return ["%s, degree %d, exponents %s" % (d["link"], d["degree"], d["exponents"]),
+            "classes: %s" % ", ".join(name for name, on in d["classes"].items() if on),
+            "geometry: %s" % d["geometry"],
+            "genus bounds: general %(general)s, braid %(braid)s, symmetric %(symmetric)s"
+            % d["genus_bounds"],
+            "lens space: %s" % ("L(%d, %d)" % tuple(lens) if lens is not None else "not forced")]
 
 
 def cmd_present(args):
@@ -103,13 +107,14 @@ def cmd_present(args):
         if args.method == "minkus":
             pres = minkus_presentation(t, n)
         else:
-            pres = takahashi_word(even_cf_expand(t), n).expand()
-    data = {"link": str(t), "degree": n, "method": args.method}
-    data.update(_presentation_payload(pres))
-    lines = ["%s, degree %d, %s presentation" % (t, n, args.method),
-             "generators: %d" % pres.generator_count]
-    lines += ["  %s" % r for r in data["relators"]]
-    return 0, data, lines
+            pres = takahashi_word(even_cf_expand(t), n)
+    return 0, {"link": str(t), "degree": n, "method": args.method,
+               **_presentation_payload(pres)}
+
+
+def render_present(args, d):
+    return (["%s, degree %d, %s presentation" % (d["link"], d["degree"], d["method"]),
+             "generators: %d" % d["generators"]] + ["  " + r for r in d["relators"]])
 
 
 def cmd_homology(args):
@@ -117,15 +122,14 @@ def cmd_homology(args):
     spec = CoveringSpec(args.n, (args.k,) if t.is_knot else (1, args.k))
     names = ROUTES if args.routes == "all" else args.routes.split(",")
     report = verify_consistency(t, spec, names)
-    lines = ["%s, degree %d, exponents %s" % (t, spec.n, list(spec.exponents))]
-    for rec in report["routes"]:
-        if "group" in rec:
-            lines.append("%-12s %s" % (rec["route"] + ":", _group_str(rec["group"])))
-        else:
-            lines.append("%-12s order %s" % (rec["route"] + ":", rec["order"]))
-    verdict = {True: "yes", False: "NO", None: "unverified"}[report["agree"]]
-    lines.append("agree: %s" % verdict)
-    return (1 if report["agree"] is False else 0), report, lines
+    return (1 if report["agree"] is False else 0), report
+
+
+def render_homology(args, d):
+    return (["%s, degree %d, exponents %s" % (d["link"], d["degree"], d["exponents"])]
+            + ["%-12s %s" % (r["route"] + ":", _group_str(r["group"]) if "group" in r
+                             else "order %s" % r["order"]) for r in d["routes"]]
+            + ["agree: %s" % {True: "yes", False: "NO", None: "unverified"}[d["agree"]]])
 
 
 def cmd_gem(args):
@@ -134,78 +138,74 @@ def cmd_gem(args):
     params = LMParams(args.n, args.p, args.q, args.c, *given)
     graph = build_generalized(params)
     shown = (params.n, params.p, params.q, params.c, params.cprime)[:4 + len(given)]
-    label = "G(%s)" % ", ".join(map(str, shown))
-    gem = is_gem(graph)
-    data = {"graph": label, "vertices": graph.vertex_count,
-            "gem": gem, "closed_form": gem_closed_form(params)}
-    lines = ["%s: %d vertices" % (label, graph.vertex_count)]
-    if not gem:
-        lines.append("not a manifold: some 3-residue is not a 2-sphere")
-        data["crystallization"] = None
-        data["covering"] = None
-        data["genus"] = None
-        return 0, data, lines
+    data = {"graph": "G(%s)" % ", ".join(map(str, shown)), "vertices": graph.vertex_count,
+            "gem": is_gem(graph), "closed_form": gem_closed_form(params)}
+    if not data["gem"]:
+        data.update(crystallization=None, covering=None, genus=None)
+        return 0, data
     data["crystallization"] = is_crystallization(graph)
-    lines.append("gem: yes, crystallization: %s"
-                 % ("yes" if data["crystallization"] else "no"))
     covered = represented_covering(params)
     if covered is SPHERE:
         data["covering"] = "sphere"
-        lines.append("represents: S^3")
     else:
         t, spec = covered
         data["covering"] = {"link": str(t), "alpha": t.alpha, "beta": t.beta,
                             "degree": spec.n, "exponents": list(spec.exponents)}
-        lines.append("represents: %d-fold covering of %s, exponents %s"
-                     % (spec.n, t, list(spec.exponents)))
     # every G(n, p, q, c, c') is bipartite, so each genus is an integer
     genus = {"".join(map(str, order)): heegaard_genus(graph, order)
              for order in CYCLIC_ORDERS}
     data["genus"] = {"by_order": genus, "min": min(genus.values())}
-    lines.append("heegaard genus by colour order: %s, min %s"
-                 % (genus, data["genus"]["min"]))
-    return 0, data, lines
+    return 0, data
+
+
+def render_gem(args, d):
+    lines = ["%s: %d vertices" % (d["graph"], d["vertices"])]
+    if not d["gem"]:
+        return lines + ["not a manifold: some 3-residue is not a 2-sphere"]
+    cov = d["covering"]
+    return lines + [
+        "gem: yes, crystallization: %s" % ("yes" if d["crystallization"] else "no"),
+        "represents: S^3" if cov == "sphere" else
+        "represents: %(degree)d-fold covering of %(link)s, exponents %(exponents)s" % cov,
+        "heegaard genus by colour order: %(by_order)s, min %(min)s" % d["genus"]]
 
 
 def cmd_polyhedral(args):
     schema = build_minkus(args.n, args.k, args.p, args.q)
     counts = quotient_counts(schema)
-    data = {"n": schema.n, "k": schema.k, "p": schema.p, "q": schema.q,
-            "cells": {"t0": counts.t0, "t1": counts.t1, "t2": counts.t2,
-                      "t3": counts.t3},
-            "chi": counts.chi}
-    lines = ["schema n=%d k=%d p=%d q=%d" % (schema.n, schema.k, schema.p, schema.q),
-             "cells: %d vertices, %d edges, %d faces, %d balls"
-             % (counts.t0, counts.t1, counts.t2, counts.t3),
-             "euler characteristic: %d" % counts.chi]
-    if counts.chi == 0:
-        pres = schema_presentation(schema)
-        data["presentation"] = _presentation_payload(pres)
-        lines.append("generators: %d" % pres.generator_count)
-        lines += ["  %s" % format_word(r) for r in pres.relators]
-    else:
-        data["presentation"] = None
-        lines.append("not a manifold (chi != 0)")
-    return 0, data, lines
+    return 0, {"n": schema.n, "k": schema.k, "p": schema.p, "q": schema.q,
+               "cells": {"t0": counts.t0, "t1": counts.t1, "t2": counts.t2, "t3": counts.t3},
+               "chi": counts.chi,
+               "presentation": (_presentation_payload(schema_presentation(schema))
+                                if counts.chi == 0 else None)}
+
+
+def render_polyhedral(args, d):
+    lines = ["schema n=%(n)d k=%(k)d p=%(p)d q=%(q)d" % d,
+             "cells: %(t0)d vertices, %(t1)d edges, %(t2)d faces, %(t3)d balls" % d["cells"],
+             "euler characteristic: %d" % d["chi"]]
+    p = d["presentation"]
+    return lines + (["not a manifold (chi != 0)"] if p is None else
+                    ["generators: %d" % p["generators"]] + ["  " + r for r in p["relators"]])
 
 
 def cmd_decompose(args):
     t = normalize(args.alpha, args.beta)
-    result = decompose(t, args.n, args.k)
-    data = result.to_json()
+    data = decompose(t, args.n, args.k).to_json()
     data["link"] = str(t)
-    inter = result.intermediate
-    lines = ["%s, covering (%d; 1, %d)" % (t, args.n, args.k),
-             "d = gcd(n, k) = %d" % result.d,
-             "degrees: %d (meridian-cyclic) * %d (cyclic over one component)"
-             % (result.upper_degree, result.lower_degree),
-             "intermediate: L(%d, %d/%d), %d components, branching index %d"
-             % (inter.d, inter.alpha1_over_beta.numerator,
-                inter.alpha1_over_beta.denominator, inter.components,
-                result.upper_degree),
-             "linking number: %d" % inter.l,
-             "base indices: %s" % (result.base_indices,)]
-    return 0, data, lines
+    return 0, data
+
+
+def render_decompose(args, d):
+    upper, lower = d["degrees"]
+    # the header echoes the arguments: the record does not hold k as given
+    return ["%s, covering (%d; 1, %d)" % (d["link"], args.n, args.k),
+            "d = gcd(n, k) = %d" % d["d"],
+            "degrees: %d (meridian-cyclic) * %d (cyclic over one component)" % (upper, lower),
+            "intermediate: L(%(d)d, %(alpha1)d/%(beta)d), %(components)d components, "
+            "branching index %(index)d" % d["intermediate"],
+            "linking number: %d" % d["intermediate"]["l"],
+            "base indices: %s" % ((upper * lower, upper),)]
 
 
 def _reproduce(rep) -> str:
@@ -293,38 +293,39 @@ def cmd_verify(args):
                     if t.beta > alpha:
                         reoriented = link_reports[reorient_component(t).beta, n]
                         mismatches += _reorientation_mismatches(reports, reoriented)
-    data = {"alpha_max": amax, "n_max": nmax, "checked": checked,
-            "unverified": unverified, "mismatches": mismatches, "ok": not mismatches}
-    lines = ["checked %d coverings (alpha <= %d, n <= %d)" % (checked, amax, nmax),
-             "unverified: %d" % unverified]
-    for rep in mismatches:
+    return (1 if mismatches else 0), {"alpha_max": amax, "n_max": nmax, "checked": checked,
+                                      "unverified": unverified, "mismatches": mismatches,
+                                      "ok": not mismatches}
+
+
+def _at(rep) -> str:
+    return "MISMATCH %s degree %d exponents %s" % (rep["link"], rep["degree"], rep["exponents"])
+
+
+def render_verify(args, d):
+    lines = ["checked %(checked)d coverings (alpha <= %(alpha_max)d, n <= %(n_max)d)" % d,
+             "unverified: %d" % d["unverified"]]
+    for rep in d["mismatches"]:
         if "accepted_by" in rep:
             a, b = rep["reports"]
             # a reorientation pair spans two links
             second = (b["exponents"] if b["link"] == a["link"]
                       else "%s exponents %s" % (b["link"], b["exponents"]))
-            lines.append("MISMATCH %s degree %d exponents %s and %s: equivalent by %s, "
-                         "but H_1 %s and %s"
-                         % (a["link"], a["degree"], a["exponents"], second,
-                            ", ".join(rep["accepted_by"]), _group_str(consensus_group(a)),
-                            _group_str(consensus_group(b))))
-            lines += [_reproduce(a), _reproduce(b)]
-            continue
-        if "genus_bound" in rep:
+            lines += ["%s and %s: equivalent by %s, but H_1 %s and %s"
+                      % (_at(a), second, ", ".join(rep["accepted_by"]),
+                         _group_str(consensus_group(a)), _group_str(consensus_group(b))),
+                      _reproduce(a), _reproduce(b)]
+        elif "genus_bound" in rep:
             a = rep["report"]
-            lines.append("MISMATCH %s degree %d exponents %s: H_1 %s needs %d generators, "
-                         "above the %s genus bound %d"
-                         % (a["link"], a["degree"], a["exponents"],
-                            _group_str(consensus_group(a)), rep["generators"],
-                            rep["genus_bound"], rep["bound"]))
-            lines.append(_reproduce(a))
-            continue
-        lines.append("MISMATCH %s degree %d exponents %s: %s"
-                     % (rep["link"], rep["degree"], rep["exponents"],
-                        [(r["route"], r.get("group", r.get("order"))) for r in rep["routes"]]))
-        lines.append(_reproduce(rep))
-    lines.append("mismatches: %d" % len(mismatches))
-    return (1 if mismatches else 0), data, lines
+            lines += ["%s: H_1 %s needs %d generators, above the %s genus bound %d"
+                      % (_at(a), _group_str(consensus_group(a)), rep["generators"],
+                         rep["genus_bound"], rep["bound"]),
+                      _reproduce(a)]
+        else:
+            lines += ["%s: %s" % (_at(rep), [(r["route"], r.get("group", r.get("order")))
+                                             for r in rep["routes"]]),
+                      _reproduce(rep)]
+    return lines + ["mismatches: %d" % len(d["mismatches"])]
 
 
 @functools.cache
@@ -345,14 +346,14 @@ def build_parser():
     p = sub.add_parser("info", parents=[common], help="normal form, continued fractions, link data")
     p.add_argument("alpha", type=int)
     p.add_argument("beta", type=int)
-    p.set_defaults(func=cmd_info)
+    p.set_defaults(func=cmd_info, render=render_info)
 
     p = sub.add_parser("classify", parents=[common], help="covering taxonomy, geometry, genus bounds")
     p.add_argument("alpha", type=int)
     p.add_argument("beta", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int, nargs="+")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, render=render_classify)
 
     p = sub.add_parser("present", parents=[common], help="fundamental group presentation")
     p.add_argument("alpha", type=int)
@@ -361,7 +362,7 @@ def build_parser():
     p.add_argument("k", type=int, nargs="?", default=1)
     p.add_argument("--method", choices=("minkus", "mu3", "takahashi"),
                    default="minkus")
-    p.set_defaults(func=cmd_present)
+    p.set_defaults(func=cmd_present, render=render_present)
 
     p = sub.add_parser("homology", parents=[common], help="H_1 by every applicable route")
     p.add_argument("alpha", type=int)
@@ -370,7 +371,7 @@ def build_parser():
     p.add_argument("k", type=int, nargs="?", default=1)
     p.add_argument("--routes", default="all",
                    help="comma-separated route names, or 'all'")
-    p.set_defaults(func=cmd_homology)
+    p.set_defaults(func=cmd_homology, render=render_homology)
 
     p = sub.add_parser("gem", parents=[common], help="coloured graph: gem test, covering, genus")
     p.add_argument("n", type=int)
@@ -378,26 +379,26 @@ def build_parser():
     p.add_argument("q", type=int)
     p.add_argument("c", type=int)
     p.add_argument("cprime", type=int, nargs="?", default=None)
-    p.set_defaults(func=cmd_gem)
+    p.set_defaults(func=cmd_gem, render=render_gem)
 
     p = sub.add_parser("polyhedral", parents=[common], help="face-paired ball schema")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_polyhedral)
+    p.set_defaults(func=cmd_polyhedral, render=render_polyhedral)
 
     p = sub.add_parser("decompose", parents=[common], help="factor a singly-cyclic covering")
     p.add_argument("alpha", type=int)
     p.add_argument("beta", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, render=render_decompose)
 
     p = sub.add_parser("verify", parents=[common], help="sweep all cross-route invariants")
     p.add_argument("--sweep", type=int, nargs=2, default=(12, 8),
                    metavar=("ALPHA_MAX", "N_MAX"))
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, render=render_verify)
 
     # the 3.10-3.12 layout; 3.13 would put the verbs and "..." on one line
     indent = "\n" + " " * 20
@@ -410,17 +411,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, data, lines = args.func(args)
+        code, data = args.func(args)
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "verb": args.verb}
-        payload.update(data)
-        print(json.dumps(payload))
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": args.verb, **data}))
     else:
-        print("\n".join(lines))
+        print("\n".join(args.render(args, data)))
     return code
 
 

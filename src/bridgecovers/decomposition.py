@@ -46,10 +46,6 @@ class DecompositionResult(namedtuple("DecompositionResult", "upper_degree interm
     def lower_degree(self) -> int:
         return self.d
 
-    @property
-    def base_indices(self) -> tuple:
-        return (self.upper_degree * self.d, self.upper_degree)
-
     def to_json(self) -> dict:
         inter = self.intermediate
         return {

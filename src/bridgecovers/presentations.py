@@ -76,15 +76,18 @@ def _mu3_shifts(alpha: int, beta: int, k: int):
     """Exponents e_j and shifts s_j, the two sums carrying different k-weights.
 
     mu3_presentation takes links only, so alpha is even and beta is odd.
+    With g_m = -eta(m beta), e_j = g_{2j}; as eta(x + alpha) = -eta(x), the
+    k-weighted sum to j is g_0 + g_2 + ... + g_{2j-2} and the other
+    g_1 + g_3 + ... + g_{2j-1}.
     """
-    e = [-eta(2 * j * beta, alpha) for j in range(alpha)]
+    g = [-eta(m * beta, alpha) for m in range(2 * alpha)]
+    e = g[::2]
     s = [0] * alpha
     sa = sb = 0
     for j in range(1, alpha):
-        sa += eta(2 * j * beta - 2 * beta - alpha, alpha)
-        sb += eta(2 * j * beta - beta - alpha, alpha)
-        bump = 1 if e[j] == -1 else 0
-        s[j] = -k * sa - sb + k * bump
+        sa += g[2 * j - 2]
+        sb += g[2 * j - 1]
+        s[j] = -k * sa - sb + (k if e[j] == -1 else 0)
     return e, s
 
 

@@ -277,4 +277,4 @@ def test_covering_factorization_laws():
             res = decompose(t, n, k)
             assert res.d == g and res.lower_degree == g
             assert res.upper_degree * res.lower_degree == n
-            assert res.base_indices == (n, n // g)
+            assert res.upper_degree == n // g

@@ -6,8 +6,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bridgecovers.cli import main
+from bridgecovers.cli import build_parser, main
 from bridgecovers.words import format_word, word
+
+from test_outputs import grid, run_call
 
 
 def run(capsys, *argv):
@@ -294,6 +296,40 @@ def test_json_roundtrip_every_verb(capsys):
         assert code == 0
         assert rec["schema_version"] == 1
         assert rec["verb"] == argv[0]
+
+
+def test_json_mode_builds_no_text(capsys, monkeypatch):
+    from bridgecovers import cli
+
+    def never(group):
+        raise AssertionError("text was built for --format json")
+
+    monkeypatch.setattr(cli, "_group_str", never)
+    for argv in (("homology", "5", "3", "3"), ("homology", "8", "3", "4", "3")):
+        code, rec = run_json(capsys, *argv, "--format", "json")
+        assert code == 0 and rec["agree"] is True
+        assert sum("group" in r for r in rec["routes"]) >= 2
+        # the text of the same call does reach the group strings
+        with pytest.raises(AssertionError, match="text was built"):
+            main(list(argv))
+
+
+def test_text_is_rendered_from_the_json_record():
+    # over the output-digest grid: the text of each call is its parsed JSON
+    # record rendered, with the same exit status and stderr
+    parser = build_parser()
+    rendered = set()
+    for verb, calls in grid().items():
+        for call in calls:
+            argv = [str(x) for x in call]
+            code, out, err = run_call(argv)
+            json_code, record, json_err = run_call(argv + ["--format", "json"])
+            assert (json_code, json_err) == (code, err), argv
+            if code != 2:
+                args = parser.parse_args(argv)
+                assert "\n".join(args.render(args, json.loads(record))) + "\n" == out, argv
+                rendered.add(verb)
+    assert rendered == set(grid())
 
 
 def test_homology_route_filter(capsys):

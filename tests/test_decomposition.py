@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from bridgecovers.cli import main
 from bridgecovers.covering import CoveringSpec, genus_bounds
 from bridgecovers.decomposition import decompose
 from bridgecovers.two_bridge import equivalent, mirror, normalize
@@ -13,7 +14,6 @@ def test_decompose_whitehead():
     result = decompose(t, 10, 5)
     assert result.d == 5
     assert (result.upper_degree, result.lower_degree) == (2, 5)
-    assert result.base_indices == (10, 2)
     inter = result.intermediate
     assert inter.alpha1_over_beta == Fraction(4, 3)
     assert inter.l == 0
@@ -62,7 +62,6 @@ def test_degree_law():
             for k in range(1, n):
                 result = decompose(t, n, k)
                 assert result.upper_degree * result.lower_degree == n
-                assert result.base_indices == (n, result.upper_degree)
 
 
 def test_decompose_degree_is_gcd():
@@ -72,11 +71,11 @@ def test_decompose_degree_is_gcd():
     assert decompose(t, 4, 2).d == 2
 
 
-def test_decompose_base_indices():
-    t = normalize(8, 3)
-    assert decompose(t, 10, 5).base_indices == (10, 2)
-    assert decompose(t, 5, 2).base_indices == (5, 5)
-    assert decompose(t, 4, 2).base_indices == (4, 2)
+def test_decompose_base_indices(capsys):
+    # (n, n/d): the decompose text reads them off the record's degrees
+    for argv, indices in (((10, 5), (10, 2)), ((5, 2), (5, 5)), ((4, 2), (4, 2))):
+        assert main(["decompose", "8", "3", *map(str, argv)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "base indices: %s" % (indices,)
 
 
 def test_genus_bound_is_n_minus_gcd():

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bridgecovers.gems import eta
 from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers.presentations import (
     _mu3_shifts,
@@ -67,6 +68,27 @@ def test_mu3_data():
         assert all(e in (1, -1) for _, e in r.letters)
     with pytest.raises(ValueError, match=r"^b\(5,3\) is a knot; .* 2-component link$"):
         mu3_presentation(normalize(5, 3), 5, 2)
+
+
+def mu3_shifts_reference(alpha, beta, k):
+    """The exponents and shifts by 3 alpha eta calls, one sum at a time."""
+    e = [-eta(2 * j * beta, alpha) for j in range(alpha)]
+    s = [0] * alpha
+    sa = sb = 0
+    for j in range(1, alpha):
+        sa += eta(2 * j * beta - 2 * beta - alpha, alpha)
+        sb += eta(2 * j * beta - beta - alpha, alpha)
+        bump = 1 if e[j] == -1 else 0
+        s[j] = -k * sa - sb + k * bump
+    return e, s
+
+
+def test_mu3_shifts_read_off_one_sign_sequence():
+    cases = [(alpha, beta, k) for alpha in range(2, 41, 2) for beta in range(1, 2 * alpha, 2)
+             if gcd(alpha, beta) == 1 for k in range(1, 12)]
+    assert len(cases) == 3806
+    for case in cases:
+        assert _mu3_shifts(*case) == mu3_shifts_reference(*case), case
 
 
 def test_mu3_presentation():

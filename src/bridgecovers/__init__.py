@@ -9,7 +9,7 @@ independent routes, and the factorization of singly-cyclic coverings.
 from .covering import (CoveringClass, CoveringSpec, GenusBounds, GeometryType,
                        classify, covering_equivalent, genus_bounds, geometry,
                        hyperbolic_homeomorphic, lens_recognize)
-from .decomposition import DecompositionResult, LinkLDescriptor, decompose
+from .decomposition import decompose
 from .gems import (CYCLIC_ORDERS, ColouredGraph, LMParams, SPHERE,
                    build_generalized, build_lins_mandel, gem_closed_form,
                    graph_isomorphic, heegaard_genus, is_crystallization, is_gem,

@@ -4,7 +4,7 @@ Exit status is 0 on success, 1 when a cross-route verification disagrees,
 2 on argument errors (usage goes to stderr).  --format json emits a single
 JSON object carrying a schema_version field; every record round-trips
 through json.loads.  Each verb's cmd_* returns (exit status, record), and its
-render_* builds the text lines from the record, for --format text only.
+render_* builds the text lines from that record alone, for --format text only.
 """
 
 import argparse
@@ -53,7 +53,7 @@ def cmd_info(args):
     return 0, data
 
 
-def render_info(args, d):
+def render_info(d):
     lines = ["%s: %s" % (d["link"], "knot" if d["kind"] == "knot" else "2-component link"),
              "continued fraction: %s" % (d["continued_fraction"],),
              "even form: %s" % (d["even_form"],)]
@@ -78,7 +78,7 @@ def cmd_classify(args):
                "lens": list(lens) if lens is not None else None}
 
 
-def render_classify(args, d):
+def render_classify(d):
     lens = d["lens"]
     return ["%s, degree %d, exponents %s" % (d["link"], d["degree"], d["exponents"]),
             "classes: %s" % ", ".join(name for name, on in d["classes"].items() if on),
@@ -112,7 +112,7 @@ def cmd_present(args):
                **_presentation_payload(pres)}
 
 
-def render_present(args, d):
+def render_present(d):
     return (["%s, degree %d, %s presentation" % (d["link"], d["degree"], d["method"]),
              "generators: %d" % d["generators"]] + ["  " + r for r in d["relators"]])
 
@@ -125,7 +125,7 @@ def cmd_homology(args):
     return (1 if report["agree"] is False else 0), report
 
 
-def render_homology(args, d):
+def render_homology(d):
     return (["%s, degree %d, exponents %s" % (d["link"], d["degree"], d["exponents"])]
             + ["%-12s %s" % (r["route"] + ":", _group_str(r["group"]) if "group" in r
                              else "order %s" % r["order"]) for r in d["routes"]]
@@ -158,7 +158,7 @@ def cmd_gem(args):
     return 0, data
 
 
-def render_gem(args, d):
+def render_gem(d):
     lines = ["%s: %d vertices" % (d["graph"], d["vertices"])]
     if not d["gem"]:
         return lines + ["not a manifold: some 3-residue is not a 2-sphere"]
@@ -180,7 +180,7 @@ def cmd_polyhedral(args):
                                 if counts.chi == 0 else None)}
 
 
-def render_polyhedral(args, d):
+def render_polyhedral(d):
     lines = ["schema n=%(n)d k=%(k)d p=%(p)d q=%(q)d" % d,
              "cells: %(t0)d vertices, %(t1)d edges, %(t2)d faces, %(t3)d balls" % d["cells"],
              "euler characteristic: %d" % d["chi"]]
@@ -190,16 +190,12 @@ def render_polyhedral(args, d):
 
 
 def cmd_decompose(args):
-    t = normalize(args.alpha, args.beta)
-    data = decompose(t, args.n, args.k).to_json()
-    data["link"] = str(t)
-    return 0, data
+    return 0, decompose(normalize(args.alpha, args.beta), args.n, args.k)
 
 
-def render_decompose(args, d):
+def render_decompose(d):
     upper, lower = d["degrees"]
-    # the header echoes the arguments: the record does not hold k as given
-    return ["%s, covering (%d; 1, %d)" % (d["link"], args.n, args.k),
+    return ["%s, covering (%d; 1, %d)" % (d["link"], upper * lower, d["exponents"][1]),
             "d = gcd(n, k) = %d" % d["d"],
             "degrees: %d (meridian-cyclic) * %d (cyclic over one component)" % (upper, lower),
             "intermediate: L(%(d)d, %(alpha1)d/%(beta)d), %(components)d components, "
@@ -302,7 +298,7 @@ def _at(rep) -> str:
     return "MISMATCH %s degree %d exponents %s" % (rep["link"], rep["degree"], rep["exponents"])
 
 
-def render_verify(args, d):
+def render_verify(d):
     lines = ["checked %(checked)d coverings (alpha <= %(alpha_max)d, n <= %(n_max)d)" % d,
              "unverified: %d" % d["unverified"]]
     for rep in d["mismatches"]:
@@ -419,7 +415,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": args.verb, **data}))
     else:
-        print("\n".join(args.render(args, data)))
+        print("\n".join(args.render(data)))
     return code
 
 

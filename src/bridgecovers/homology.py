@@ -6,7 +6,6 @@ forms, or the order |Res(Delta, t^n - 1)| of the torsion subgroup.  All
 arithmetic is exact; disagreement between routes is reported as data.
 """
 
-from collections import namedtuple
 from math import gcd
 
 from .covering import CoveringSpec, _check_components, lens_recognize, torus_signs
@@ -73,19 +72,6 @@ class AbelianGroup(checked_namedtuple("AbelianGroup", "rank torsion")):
             parts.append("Z^%d" % self.rank)
         parts.extend("Z_%d" % d for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-class EvenAlphaParams(namedtuple("EvenAlphaParams", "s d h m a b")):
-    """Intermediate quantities of the even-alpha formulas."""
-
-    __slots__ = ()
-
-
-class GenusOneParams(namedtuple("GenusOneParams", "hg aprime asecond")):
-    """Twist parameter and the two recurrence sequences of a genus-one knot,
-    indexed from 1 (slot 0 unused)."""
-
-    __slots__ = ()
 
 
 def _chain(xs) -> list:
@@ -205,8 +191,8 @@ def h1(p: Presentation | CyclicPresentation) -> AbelianGroup:
                         tuple(d for d in factors if d > 1))
 
 
-def even_alpha_params(alpha: int, n: int, k: int) -> EvenAlphaParams:
-    """s, d, h, m, a, b for the covering M_{n,1,k} of b(alpha, 1)."""
+def even_alpha_params(alpha: int, n: int, k: int) -> tuple:
+    """(s, d, h, m, a, b) for the covering M_{n,1,k} of b(alpha, 1)."""
     k %= n
     s = gcd(n, k)
     d = gcd(n, alpha * (k + 1) // 2)
@@ -220,29 +206,30 @@ def even_alpha_params(alpha: int, n: int, k: int) -> EvenAlphaParams:
         raise ValueError("alpha*h is not divisible by 2*d")
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
-    return EvenAlphaParams(s, d, h, m, a, b)
+    return s, d, h, m, a, b
 
 
 def _even_alpha_group(alpha: int, n: int, k: int) -> AbelianGroup:
-    p = even_alpha_params(alpha, n, k)
-    if p.h == 1:
-        return group_from_factors(p.d - p.m, [p.a] * p.m)
-    if p.h < p.m + 1:
-        factors = [p.a] * (p.m - p.h + 1) + [p.a * p.b] * (p.h - 2) + [p.h * p.a * p.b]
-        return group_from_factors(p.d + 1 - p.h - p.m, factors)
-    factors = [p.b] * (p.h - 1 - p.m) + [p.a * p.b] * (p.m - 1) + [p.h * p.a * p.b]
-    return group_from_factors(p.d + 1 - p.h - p.m, factors)
+    _, d, h, m, a, b = even_alpha_params(alpha, n, k)
+    if h == 1:
+        return group_from_factors(d - m, [a] * m)
+    if h < m + 1:
+        factors = [a] * (m - h + 1) + [a * b] * (h - 2) + [h * a * b]
+        return group_from_factors(d + 1 - h - m, factors)
+    factors = [b] * (h - 1 - m) + [a * b] * (m - 1) + [h * a * b]
+    return group_from_factors(d + 1 - h - m, factors)
 
 
-def genus_one_params(alpha: int, n: int) -> GenusOneParams:
-    """Twist parameter and recurrence values for a genus-one knot."""
+def genus_one_params(alpha: int, n: int) -> tuple:
+    """(hg, aprime, asecond): the twist parameter and the two recurrence
+    sequences of a genus-one knot, indexed from 1 (slot 0 unused)."""
     hg = (1 - alpha) // 4 if alpha % 4 == 1 else (1 + alpha) // 4
     aprime = [0, 1, 1]
     asecond = [0, 1, 1 - 2 * hg]
     for i in range(3, n + 1):
         aprime.append(aprime[i - 1] - hg * aprime[i - 2])
         asecond.append(asecond[i - 1] - hg * asecond[i - 2])
-    return GenusOneParams(hg, tuple(aprime[:n + 1]), tuple(asecond[:n + 1]))
+    return hg, tuple(aprime[:n + 1]), tuple(asecond[:n + 1])
 
 
 def whitehead_factors(n: int) -> tuple:
@@ -284,11 +271,11 @@ def h1_closed_form(t: TwoBridge, spec: CoveringSpec):
         # (n; 1, k) here is (n; 1, s k) of b(alpha, 1)
         return _even_alpha_group(t.alpha, n, signs[0] * k % n)
     if t.is_knot and is_genus_one(t):
-        p = genus_one_params(t.alpha, n)
+        _, aprime, asecond = genus_one_params(t.alpha, n)
         if n % 2 == 0:
-            v = abs(p.aprime[n])
+            v = abs(aprime[n])
             return group_from_factors(0, [t.alpha * v, v])
-        v = abs(p.asecond[n])
+        v = abs(asecond[n])
         return group_from_factors(0, [v, v])
     if t.is_knot:
         # b runs over the representatives of the knot and of its mirror

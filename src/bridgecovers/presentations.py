@@ -5,18 +5,11 @@ All three run over generators x_1..x_n with index arithmetic mod n
 (representatives 1..n; a derived x_0 means x_n).
 """
 
-from collections import namedtuple
 from math import gcd
 
 from .gems import eta
 from .two_bridge import TwoBridge, EvenConwayForm
 from .words import CyclicPresentation, FreeWord, LaurentPolynomial, word
-
-
-class MinkusShiftData(namedtuple("MinkusShiftData", "beta_inv s")):
-    """beta^{-1} mod 2*alpha and the partial sums s_1..s_{alpha-1}."""
-
-    __slots__ = ()
 
 
 def check_degree(n: int) -> None:
@@ -26,26 +19,20 @@ def check_degree(n: int) -> None:
 
 # ---- Minkus presentation ----
 
-def minkus_shift_data(t: TwoBridge) -> MinkusShiftData:
+def _minkus_letters(t: TwoBridge) -> list:
+    """Letters of R = x_1 x_{1+s_1}^{-1} x_{1+s_2} ... with unwrapped indices,
+    s_j the partial sum of (-1)^floor(i beta^{-1} / alpha) over i = 1..j,
+    with beta^{-1} taken mod 2*alpha."""
     b = t.beta % (2 * t.alpha)
     if b % 2 == 0:
         # reorientation: the odd representative of the same covering; b is
         # then odd and, as b = beta mod alpha, a unit mod 2*alpha
         b = (b + t.alpha) % (2 * t.alpha)
     binv = pow(b, -1, 2 * t.alpha)
-    s = []
-    acc = 0
-    for i in range(1, t.alpha):
-        acc += (-1) ** ((i * binv) // t.alpha)
-        s.append(acc)
-    return MinkusShiftData(binv, tuple(s))
-
-
-def _minkus_letters(t: TwoBridge) -> list:
-    """Letters of R = x_1 x_{1+s_1}^{-1} x_{1+s_2} ... with unwrapped indices."""
-    data = minkus_shift_data(t)
     letters = [(1, 1)]
-    for j, sj in enumerate(data.s, start=1):
+    sj = 0
+    for j in range(1, t.alpha):
+        sj += (-1) ** ((j * binv) // t.alpha)
         letters.append((1 + sj, (-1) ** j))
     return letters
 

@@ -275,6 +275,7 @@ def test_covering_factorization_laws():
         for k in range(1, n):
             g = gcd(n, k)
             res = decompose(t, n, k)
-            assert res.d == g and res.lower_degree == g
-            assert res.upper_degree * res.lower_degree == n
-            assert res.upper_degree == n // g
+            upper, lower = res["degrees"]
+            assert res["d"] == g and lower == g
+            assert upper * lower == n
+            assert upper == n // g

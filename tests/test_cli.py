@@ -131,6 +131,7 @@ def test_polyhedral_record(capsys):
 def test_decompose_record(capsys):
     code, rec = run_json(capsys, "decompose", "8", "3", "10", "5", "--format", "json")
     assert code == 0
+    assert rec["link"] == "b(8,3)" and rec["exponents"] == [1, 5]
     assert rec["d"] == 5
     assert rec["degrees"] == [2, 5]
     assert rec["intermediate"]["components"] == 6
@@ -327,7 +328,7 @@ def test_text_is_rendered_from_the_json_record():
             assert (json_code, json_err) == (code, err), argv
             if code != 2:
                 args = parser.parse_args(argv)
-                assert "\n".join(args.render(args, json.loads(record))) + "\n" == out, argv
+                assert "\n".join(args.render(json.loads(record))) + "\n" == out, argv
                 rendered.add(verb)
     assert rendered == set(grid())
 

@@ -392,16 +392,16 @@ def test_consensus_group():
 
 
 def test_even_alpha_params():
-    p = even_alpha_params(8, 6, 1)
-    assert (p.s, p.d, p.h, p.m) == (1, 2, 2, 1)
-    assert (p.a, p.b) == (3, 4)
+    s, d, h, m, a, b = even_alpha_params(8, 6, 1)
+    assert (s, d, h, m) == (1, 2, 2, 1)
+    assert (a, b) == (3, 4)
 
 
 def test_genus_one_params():
-    p = genus_one_params(5, 3)
-    assert p.hg == -1
-    assert p.asecond[3] == 1 - 2 * p.hg - p.hg  # A''(3) = A''(2) - h A''(1)
-    assert abs(p.asecond[3]) == 4
+    hg, _, asecond = genus_one_params(5, 3)
+    assert hg == -1
+    assert asecond[3] == 1 - 2 * hg - hg  # A''(3) = A''(2) - h A''(1)
+    assert abs(asecond[3]) == 4
 
 
 def test_closed_form_matches_snf():

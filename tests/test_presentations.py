@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 from bridgecovers.gems import eta
 from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers.presentations import (
+    _minkus_letters,
     _mu3_shifts,
     alexander_polynomial,
     minkus_cyclic,
     minkus_presentation,
-    minkus_shift_data,
     mu3_presentation,
     takahashi_word,
 )
@@ -35,9 +35,8 @@ def links(amax):
 
 
 def test_minkus_shift_data():
-    data = minkus_shift_data(normalize(5, 3))
-    assert data.beta_inv == 7
-    assert data.s == (-1, 0, 1, 0)
+    # the partial sums s_1..s_4 of b(5,3) are (-1, 0, 1, 0)
+    assert _minkus_letters(normalize(5, 3)) == [(1, 1), (0, -1), (1, 1), (2, -1), (1, 1)]
 
 
 def test_minkus_word():

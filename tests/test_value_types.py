@@ -11,11 +11,9 @@ import pytest
 
 from bridgecovers import two_bridge
 from bridgecovers.covering import CoveringClass, CoveringSpec, GenusBounds
-from bridgecovers.decomposition import DecompositionResult, LinkLDescriptor
 from bridgecovers.gems import ColouredGraph, LMParams
-from bridgecovers.homology import AbelianGroup, EvenAlphaParams, GenusOneParams, IntMatrix
+from bridgecovers.homology import AbelianGroup, IntMatrix
 from bridgecovers.polyhedral import CellComplexCounts, MinkusSchema
-from bridgecovers.presentations import MinkusShiftData
 from bridgecovers.two_bridge import ContinuedFraction, EvenConwayForm, TwoBridge, normalize
 from bridgecovers.words import (CyclicPresentation, FreeWord, LaurentPolynomial,
                                 Presentation)
@@ -31,21 +29,12 @@ VALUES = (
     (lambda: CoveringClass(True, True, True, False),
      "CoveringClass(strictly=True, almost_strictly=True, meridian=True, singly=False)"),
     (lambda: GenusBounds(4), "GenusBounds(general=4, braid=None, symmetric=None)"),
-    (lambda: LinkLDescriptor(2, Fraction(4, 3), 0),
-     "LinkLDescriptor(d=2, alpha1_over_beta=Fraction(4, 3), l=0)"),
-    (lambda: DecompositionResult(3, LinkLDescriptor(2, Fraction(4, 3), 0)),
-     "DecompositionResult(upper_degree=3, "
-     "intermediate=LinkLDescriptor(d=2, alpha1_over_beta=Fraction(4, 3), l=0))"),
     (lambda: ColouredGraph(((1, 0),) * 4),
      "ColouredGraph(involutions=((1, 0), (1, 0), (1, 0), (1, 0)))"),
     (lambda: LMParams(3, 2, 5, 4), "LMParams(n=3, p=2, q=1, c=1, cprime=1)"),
     (lambda: AbelianGroup(1, (2, 4)), "AbelianGroup(rank=1, torsion=(2, 4))"),
-    (lambda: EvenAlphaParams(1, 2, 1, 1, 3, 2), "EvenAlphaParams(s=1, d=2, h=1, m=1, a=3, b=2)"),
-    (lambda: GenusOneParams(1, (0, 1), (0, 1)),
-     "GenusOneParams(hg=1, aprime=(0, 1), asecond=(0, 1))"),
     (lambda: CellComplexCounts(1, 2, 2, 1), "CellComplexCounts(t0=1, t1=2, t2=2, t3=1)"),
     (lambda: MinkusSchema(2, 3, 1, 1, 1), "MinkusSchema(n=2, p=3, q=1, k=1, pairing_shift=1)"),
-    (lambda: MinkusShiftData(3, (1, 0)), "MinkusShiftData(beta_inv=3, s=(1, 0))"),
     (lambda: FreeWord(((1, 1), (1, 1), (2, 0))), "FreeWord(letters=((1, 2),))"),
     (lambda: Presentation(2, (FreeWord(((2, -1),)),)),
      "Presentation(generator_count=2, relators=(FreeWord(letters=((2, -1),)),))"),

@@ -374,35 +374,89 @@ def order_via_resultant(delta: LaurentPolynomial, n: int):
     return val if val else "infinite"
 
 
+def _abelian_key(p: CyclicPresentation):
+    """A key that presentations with the same abelianized rows, up to row
+    sign and order, share: n and one canonical row per family.  None when p
+    has fixed generators, or when rotation by a family's count maps its
+    abelianized word v to neither v nor -v.
+
+    Otherwise the family's rows are the whole rotation orbit of v up to
+    sign, and every rotation of +-v is a rotation by i < count of v or of
+    -v.  Of those that put an occurrence of that vector's least entry
+    (nonzero unless v = 0) at column 0, the least stands for the orbit.  So
+    equal keys give the same cokernel."""
+    if p.fixed:
+        return None
+    n, canon = p.n, []
+    for w, count in p.families:
+        dense = [0] * n
+        for i, e in w.letters:
+            dense[i - 1] += e
+        neg = [-x for x in dense]
+        if count < n:
+            turned = dense[n - count:] + dense[:n - count]
+            if turned != dense and turned != neg:
+                return None
+        least = min(min(dense), min(neg))
+        best = []
+        for vec in (dense, neg):
+            if least in vec:
+                # the rotation by i puts column n - i of vec + vec at column 0
+                vec = vec + vec
+                best += [vec[c:c + n] for c in range(n - count + 1, n + 1) if vec[c] == least]
+        canon.append(tuple(min(best)))
+    canon.sort()
+    return n, tuple(canon)
+
+
+# abelianization key -> H_1, for the report that verify_consistency is
+# building; None outside it, so a route called on its own keeps nothing
+_groups = None
+
+
+def _group(p: CyclicPresentation) -> AbelianGroup:
+    """h1(p), computed once per abelianization key of a report."""
+    key = None if _groups is None else _abelian_key(p)
+    if key is None:
+        return h1(p)
+    group = _groups.get(key)
+    if group is None:
+        group = _groups[key] = h1(p)
+    return group
+
+
 def _minkus(t, spec):
     # a link's Minkus presentation is its covering with exponents (1, 1)
     if t.is_knot or len(set(spec.exponents)) == 1:
-        return {"group": h1(minkus_presentation(t, spec.n)).to_json()}
+        return {"group": _group(minkus_presentation(t, spec.n)).to_json()}
 
 
 def _mu3(t, spec):
     k = spec.single
     if t.is_link and k is not None:
-        return {"group": h1(mu3_presentation(t, spec.n, k)).to_json()}
+        return {"group": _group(mu3_presentation(t, spec.n, k)).to_json()}
 
 
 def _takahashi(t, spec):
     if t.is_knot:
-        return {"group": h1(takahashi_word(even_cf_expand(t), spec.n)).to_json()}
+        return {"group": _group(takahashi_word(even_cf_expand(t), spec.n)).to_json()}
 
 
-def _polyhedral(t, spec):
-    n, k = spec.n, spec.single
-    if k is None:
-        return None
+def _polyhedral_presentation(t: TwoBridge, n: int, k: int) -> CyclicPresentation:
+    """The schema presentation of the covering (n; 1, k) of t."""
     # the schema wants 0 < q < alpha odd; reorienting a link component negates
     # its exponent, and the coverings of a knot's mirror have the same H_1
     if t.is_link and t.beta > t.alpha:
         t, k = reorient_component(t), -k % n
     if t.beta % t.alpha % 2 == 0:
         t = mirror(t)
-    schema = build_minkus(n, k, t.alpha, t.beta % t.alpha)
-    return {"group": h1(schema_presentation(schema)).to_json()}
+    return schema_presentation(build_minkus(n, k, t.alpha, t.beta % t.alpha))
+
+
+def _polyhedral(t, spec):
+    k = spec.single
+    if k is not None:
+        return {"group": _group(_polyhedral_presentation(t, spec.n, k)).to_json()}
 
 
 def _closed_form(t, spec):
@@ -446,12 +500,17 @@ def verify_consistency(t: TwoBridge, spec: CoveringSpec, names=ROUTES) -> dict:
         raise ValueError("unknown route %s; valid routes: %s"
                          % (", ".join(map(repr, unknown)), ", ".join(ROUTES)))
     _check_components(t, spec)
+    global _groups
+    _groups = {}
     routes = []
-    for name, route in ROUTES.items():
-        if name in names:
-            rec = route(t, spec)
-            if rec is not None:
-                routes.append({"route": name, **rec})
+    try:
+        for name, route in ROUTES.items():
+            if name in names:
+                rec = route(t, spec)
+                if rec is not None:
+                    routes.append({"route": name, **rec})
+    finally:
+        _groups = None
     return {
         "link": str(t),
         "alpha": t.alpha,

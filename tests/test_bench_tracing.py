@@ -9,6 +9,7 @@ A kernel that calls back through a traced name is counted twice.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,7 @@ def test_routes_reach_traced_functions_through_globals():
 
 
 @pytest.mark.parametrize("argv", [("homology", "5", "3", "3"),
-                                  ("homology", "8", "3", "4", "3")])
+                                  ("homology", "8", "3", "4", "1")])
 def test_one_smith_normal_form_call_per_h1(capsys, argv):
     with load_spans().Tracer() as tracer:
         assert cli.main(list(argv)) == 0
@@ -57,6 +58,17 @@ def test_one_smith_normal_form_call_per_h1(capsys, argv):
     _, calls = tracer.totals()
     assert calls["homology.h1"] >= 2
     assert calls["homology.smith_normal_form"] == calls["homology.h1"]
+
+
+def test_link_polyhedral_route_reuses_the_mu3_group(capsys):
+    # mu3 and the schema present the same abelianization: one h1 for both
+    with load_spans().Tracer() as tracer:
+        assert cli.main(["--format", "json", "homology", "8", "3", "4", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    _, calls = tracer.totals()
+    assert calls["homology.h1"] == calls["homology.smith_normal_form"] == 1
+    groups = {r["route"]: r["group"] for r in report["routes"]}
+    assert groups["mu3"] == groups["polyhedral"]
 
 
 def test_one_is_gem_call_per_gem(capsys):

@@ -32,7 +32,7 @@ from bridgecovers.presentations import (
     takahashi_word,
 )
 from bridgecovers.two_bridge import even_cf_expand, mirror, normalize
-from bridgecovers.words import LaurentPolynomial
+from bridgecovers.words import CyclicPresentation, FreeWord, LaurentPolynomial, word
 
 
 def laplace_det(sub):
@@ -488,6 +488,83 @@ def test_verify_consistency_runs_named_routes():
                             "closed_form", "lens", "resultant"]
     with pytest.raises(ValueError, match="unknown route 'bogus'; valid routes: minkus, mu3"):
         verify_consistency(t, spec, ["minkus", "bogus"])
+
+
+def test_abelian_key_needs_whole_rotation_orbits():
+    # the link Minkus presentation has the fixed generator y
+    assert homology._abelian_key(minkus_presentation(normalize(8, 3), 4)) is None
+    # rotating x_1 x_2 by its count 2 gives x_3 x_4, so its two rows are
+    # not its orbit: H_1 is Z^2, where the whole orbit gives Z
+    w = word((1, 1), (2, 1))
+    half, whole = CyclicPresentation(4, ((w, 2),)), CyclicPresentation(4, ((w, 4),))
+    assert homology._abelian_key(half) is None
+    assert homology._abelian_key(whole) is not None
+    assert (h1(half), h1(whole)) == (AbelianGroup(2, ()), AbelianGroup(1, ()))
+    # rotating x_1 x_2^-1 x_3 x_4^-1 by 1 negates its row, so one row is
+    # the whole orbit up to sign, as is the one row of its shift by 1
+    w = word((1, 1), (2, -1), (3, 1), (4, -1))
+    key = homology._abelian_key(CyclicPresentation(4, ((w, 1),)))
+    assert key == (4, ((-1, 1, -1, 1),))
+    assert homology._abelian_key(CyclicPresentation(4, ((w.shift(1, 4), 2),))) == key
+
+
+@st.composite
+def invariant_presentations(draw):
+    """A CyclicPresentation of degree n <= 9 whose families have rows that
+    rotation by their count maps to +-themselves: the product of the shifts
+    of a word by 0, c, 2c, .. for a divisor c of n, with count c, and when
+    n / c is even, possibly with every other shift inverted."""
+    n = draw(st.integers(1, 9))
+    letters = st.tuples(st.integers(1, n), st.integers(-3, 3))
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.sampled_from([c for c in range(1, n + 1) if n % c == 0]))
+        w0 = FreeWord(tuple(draw(st.lists(letters, max_size=6))))
+        sign = -1 if n // c % 2 == 0 and draw(st.booleans()) else 1
+        w = FreeWord()
+        for j in range(0, n, c):
+            w = w * w0.shift(j, n) ** (sign ** (j // c))
+        families.append((w, c))
+    return CyclicPresentation(n, tuple(families))
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariant_presentations(), st.randoms(use_true_random=False))
+def test_abelian_key_ignores_shifts_and_inverses(p, rnd):
+    # the key reads each family's rows up to rotation and sign, so shifting
+    # or inverting a family's word, or reordering the families, keeps it;
+    # and equal keys give equal H_1
+    moved = []
+    for w, count in p.families:
+        w = w.shift(rnd.randrange(p.n), p.n)
+        moved.append((w.inverse() if rnd.random() < 0.5 else w, count))
+    rnd.shuffle(moved)
+    q = CyclicPresentation(p.n, tuple(moved))
+    key = homology._abelian_key(p)
+    assert key is not None and homology._abelian_key(q) == key
+    assert h1(q) == h1(p)
+
+
+def test_groups_are_kept_only_while_a_report_is_built(monkeypatch):
+    t, spec = normalize(5, 3), CoveringSpec(3, (1,))
+    seen = []
+
+    def failing_lens(t, spec):
+        seen.append(dict(homology._groups))
+        raise RuntimeError("planted")
+
+    assert homology._groups is None
+    verify_consistency(t, spec)
+    assert homology._groups is None
+    # a route called on its own keeps nothing either
+    ROUTES["takahashi"](t, spec)
+    assert homology._groups is None
+    monkeypatch.setitem(ROUTES, "lens", failing_lens)
+    with pytest.raises(RuntimeError, match="planted"):
+        verify_consistency(t, spec)
+    # minkus and takahashi share one key; polyhedral adds its own
+    assert len(seen) == 1 and len(seen[0]) == 2
+    assert homology._groups is None
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bridgecovers.gems import eta
-from bridgecovers.homology import AbelianGroup, h1
+from bridgecovers.homology import AbelianGroup, _polyhedral_presentation, h1
 from bridgecovers.presentations import (
     _minkus_letters,
     _mu3_shifts,
@@ -173,6 +173,23 @@ def test_knot_cyclic_presentations_share_one_circulant():
                         == {frozenset(r.items()) for r in takahashi}), (t, n)
                 count += 1
     assert count == 1632
+
+
+def test_link_polyhedral_rows_are_mu3_rows():
+    # the schema of a link covering has mu3's relator rows up to sign, so
+    # verify_consistency reduces one matrix for both routes
+    def rows(p):
+        return sorted(min(sorted(r.items()), sorted((c, -x) for c, x in r.items()))
+                      for r in p.relator_matrix())
+
+    count = 0
+    for t in links(16):
+        for n in range(2, 11):
+            for k in range(1, n):
+                assert (rows(mu3_presentation(t, n, k))
+                        == rows(_polyhedral_presentation(t, n, k))), (t, n, k)
+                count += 1
+    assert count == 2790
 
 
 def test_mu3_inverse_exponent():

@@ -184,8 +184,35 @@ def group_from_factors(rank: int, factors) -> AbelianGroup:
     return AbelianGroup(rank, tuple(d for d in _chain(ds) if d > 1))
 
 
+def _unspanned(p: CyclicPresentation) -> CyclicPresentation:
+    """p less each family of count 1 < n whose abelianized word is
+    c(1, .., 1), when p has no fixed generators and some family of count n
+    has a nonzero entry sum s that divides c.  That family's n rows are the
+    rotations of its word u, which sum to s(1, .., 1), so the row left out
+    is c / s times their sum and the cokernel does not change."""
+    n = p.n
+    if p.fixed:
+        return p
+    kept = []
+    for w, count in p.families:
+        if count == 1 < n:
+            dense = [0] * n
+            for i, e in w.letters:
+                dense[i - 1] += e
+            c = dense[0]
+            if dense.count(c) == n and any(
+                    s and c % s == 0
+                    for s in (sum(e for _, e in u.letters) for u, m in p.families if m == n)):
+                continue
+        kept.append((w, count))
+    return p if len(kept) == len(p.families) else p._replace(families=tuple(kept))
+
+
 def h1(p: Presentation | CyclicPresentation) -> AbelianGroup:
-    """Cokernel of the abelianized relator matrix."""
+    """Cokernel of the abelianized relator matrix, without the rows of a
+    CyclicPresentation that ``_unspanned`` finds spanned by its others."""
+    if isinstance(p, CyclicPresentation):
+        p = _unspanned(p)
     factors = smith_normal_form(IntMatrix(p.generator_count, p.relator_matrix()))
     return AbelianGroup(p.generator_count - len(factors),
                         tuple(d for d in factors if d > 1))
@@ -376,9 +403,10 @@ def order_via_resultant(delta: LaurentPolynomial, n: int):
 
 def _abelian_key(p: CyclicPresentation):
     """A key that presentations with the same abelianized rows, up to row
-    sign and order, share: n and one canonical row per family.  None when p
-    has fixed generators, or when rotation by a family's count maps its
-    abelianized word v to neither v nor -v.
+    sign and order, share: n and one canonical row per family that
+    ``_unspanned`` keeps, as h1 does.  None when p has fixed generators, or
+    when rotation by a kept family's count maps its abelianized word v to
+    neither v nor -v.
 
     Otherwise the family's rows are the whole rotation orbit of v up to
     sign, and every rotation of +-v is a rotation by i < count of v or of
@@ -388,7 +416,7 @@ def _abelian_key(p: CyclicPresentation):
     if p.fixed:
         return None
     n, canon = p.n, []
-    for w, count in p.families:
+    for w, count in _unspanned(p).families:
         dense = [0] * n
         for i, e in w.letters:
             dense[i - 1] += e

@@ -49,7 +49,9 @@ def test_routes_reach_traced_functions_through_globals():
         assert not any(route is fn for fn in traced), name
 
 
-@pytest.mark.parametrize("argv", [("homology", "5", "3", "3"),
+# at k = 1 the link Minkus presentation, with its fixed generator, has no
+# abelianization key, so it and mu3 each reach h1
+@pytest.mark.parametrize("argv", [("homology", "10", "3", "5", "1"),
                                   ("homology", "8", "3", "4", "1")])
 def test_one_smith_normal_form_call_per_h1(capsys, argv):
     with load_spans().Tracer() as tracer:
@@ -69,6 +71,19 @@ def test_link_polyhedral_route_reuses_the_mu3_group(capsys):
     assert calls["homology.h1"] == calls["homology.smith_normal_form"] == 1
     groups = {r["route"]: r["group"] for r in report["routes"]}
     assert groups["mu3"] == groups["polyhedral"]
+
+
+def test_knot_routes_share_one_smith_normal_form(capsys):
+    # the polyhedral presentation of a knot is the Minkus circulant and the
+    # row x_1 .. x_n, which the circulant spans: all three group routes
+    # read one SNF
+    with load_spans().Tracer() as tracer:
+        assert cli.main(["--format", "json", "homology", "7", "3", "320"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    _, calls = tracer.totals()
+    assert calls["homology.h1"] == calls["homology.smith_normal_form"] == 1
+    assert report["agree"] is True
+    assert {"minkus", "takahashi", "polyhedral"} <= {r["route"] for r in report["routes"]}
 
 
 def test_one_is_gem_call_per_gem(capsys):

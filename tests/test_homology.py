@@ -545,6 +545,111 @@ def test_abelian_key_ignores_shifts_and_inverses(p, rnd):
     assert h1(q) == h1(p)
 
 
+def test_knot_polyhedral_key_is_the_minkus_key():
+    # the schema adds the row x_1 .. x_n to the Minkus circulant; the Minkus
+    # word has alpha letters of alternating sign, so its entries sum to 1,
+    # the n rows sum to that row, and the key leaves it out
+    count = 0
+    for alpha in range(3, 26, 2):
+        for beta in range(1, alpha):
+            if gcd(alpha, beta) != 1:
+                continue
+            t = normalize(alpha, beta)
+            for n in range(2, 13):
+                assert (homology._abelian_key(homology._polyhedral_presentation(t, n, 1))
+                        == homology._abelian_key(minkus_presentation(t, n))), (t, n)
+                count += 1
+    assert count == 1496
+
+
+def test_h1_reduces_the_rows_the_key_reads(monkeypatch):
+    # h1 leaves the spanned row out of the matrix it reduces, as the key does
+    shapes = []
+    real = homology.smith_normal_form
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    t = normalize(7, 3)
+    assert h1(homology._polyhedral_presentation(t, 6, 1)) == h1(minkus_presentation(t, 6))
+    assert shapes == [(6, 6), (6, 6)]
+
+
+def without(p, family):
+    return CyclicPresentation(p.n, tuple(f for f in p.families if f != family), p.fixed)
+
+
+def test_unspanned_rows_are_kept_when_the_sum_is_zero():
+    # mu3's Q' word sums to 0 on every link with even alpha <= 26, so its
+    # rows sum to 0 and do not span Q = x_1 .. x_n at gcd(n, k) = 1
+    count = 0
+    for alpha in range(2, 27, 2):
+        for beta in range(1, 2 * alpha, 2):
+            if gcd(alpha, beta) == 1:
+                (_, _), (q_prime, _) = mu3_presentation(normalize(alpha, beta), 5, 1).families
+                assert sum(e for _, e in q_prime.letters) == 0, (alpha, beta)
+                count += 1
+    assert count == 150
+    p = mu3_presentation(normalize(8, 3), 4, 1)
+    q = p.families[0]
+    assert q == (word((1, 1), (4, 1), (3, 1), (2, 1)), 1)
+    assert homology._unspanned(p) is p
+    assert len(homology._abelian_key(p)[1]) == 2
+    # leaving Q out would change H_1 from Z_2 + Z_2 + Z_16 to one with a Z
+    assert h1(p) == group_from_factors(0, [2, 2, 16])
+    assert h1(without(p, q)).rank == 1
+
+
+def test_unspanned_rows_are_kept_unless_the_sum_divides_them():
+    # the rows x_1 x_2, x_2 x_3, x_3 x_1 sum to 2(1, 1, 1), which does not
+    # span (1, 1, 1) over Z: with that row H_1 is 0, without it Z_2
+    ones = (word((1, 1), (2, 1), (3, 1)), 1)
+    p = CyclicPresentation(3, ((word((1, 1), (2, 1)), 3), ones))
+    assert homology._unspanned(p) is p
+    assert (h1(p), h1(without(p, ones))) == (AbelianGroup(0, ()), AbelianGroup(0, (2,)))
+    # twice that row is spanned, and left out
+    twice = (word((1, 2), (2, 2), (3, 2)), 1)
+    spanned = CyclicPresentation(3, ((word((1, 1), (2, 1)), 3), twice))
+    assert homology._unspanned(spanned) == without(spanned, twice)
+    assert h1(spanned) == AbelianGroup(0, (2,))
+    # at n = 1 a family of count 1 is the family of count n: it spans itself
+    # but is kept, as H_1 = Z_2 shows
+    single = CyclicPresentation(1, ((word((1, 2)), 1),))
+    assert homology._unspanned(single) is single
+    assert h1(single) == AbelianGroup(0, (2,))
+    # the shift fixes y = x_3, so the rotations of x_1 y sum to (1, 1, 2):
+    # they do not span 2(1, 1, 0), and the group is Z_4, not Z
+    fixed = CyclicPresentation(2, ((word((1, 1), (3, 1)), 2), (word((1, 2), (2, 2)), 1)), 1)
+    assert homology._unspanned(fixed) is fixed
+    assert h1(fixed) == AbelianGroup(0, (4,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariant_presentations().filter(lambda p: p.n > 1),
+       st.lists(st.tuples(st.integers(1, 9), st.integers(-3, 3)), max_size=6),
+       st.integers(-2, 2), st.randoms(use_true_random=False))
+def test_spanned_constant_family_keeps_key_and_h1(p, letters, m, rnd):
+    # a full family u, whose n rows sum to s(1, .., 1), s the entry sum of
+    # u, spans any constant row m s (1, .., 1), in any letter order
+    n = p.n
+    u = FreeWord(tuple(((i - 1) % n + 1, e) for i, e in letters))
+    s = sum(e for _, e in u.letters)
+    if s == 0:
+        u, s = u * word((1, 1)), 1
+    spanning = CyclicPresentation(n, p.families + ((u, n),))
+    constant = [(i, m * s) for i in range(1, n + 1)]
+    rnd.shuffle(constant)
+    families = list(spanning.families)
+    families.insert(rnd.randrange(len(families) + 1), (FreeWord(tuple(constant)), 1))
+    q = CyclicPresentation(n, tuple(families))
+    assert homology._abelian_key(q) == homology._abelian_key(spanning) is not None
+    factors = smith_normal_form(IntMatrix(n, q.expand().relator_matrix()))
+    assert h1(q) == h1(spanning) == AbelianGroup(n - len(factors),
+                                                 tuple(d for d in factors if d > 1))
+
+
 def test_groups_are_kept_only_while_a_report_is_built(monkeypatch):
     t, spec = normalize(5, 3), CoveringSpec(3, (1,))
     seen = []
@@ -562,8 +667,8 @@ def test_groups_are_kept_only_while_a_report_is_built(monkeypatch):
     monkeypatch.setitem(ROUTES, "lens", failing_lens)
     with pytest.raises(RuntimeError, match="planted"):
         verify_consistency(t, spec)
-    # minkus and takahashi share one key; polyhedral adds its own
-    assert len(seen) == 1 and len(seen[0]) == 2
+    # minkus, takahashi and polyhedral share one key
+    assert len(seen) == 1 and len(seen[0]) == 1
     assert homology._groups is None
 
 

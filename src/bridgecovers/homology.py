@@ -93,16 +93,19 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
     One sparse elimination with Euclidean pivot steps (Cohen, GTM 138,
-    2.4) on copies of the sparse rows of ``m``.  A new pivot p is the first
-    +-1 of the first shortest row holding one, or else the least entry of
-    the shortest row: short rows limit fill-in.  A unit pivot clears its
-    column c in one exact pass, q = f * p on every row holding f in c, and
-    leaves with its row as a diagonal 1.  A non-unit pivot reduces c by
-    q = f // p on every other row, and the least remainder left, on the
-    shortest row, is the next pivot.  Once column c is clear but for p,
-    the column operations that reduce the pivot row mod p change that row
-    alone: it leaves as the diagonal entry |p|, or its least entry left
-    is the next pivot.  |p| falls until a row leaves, so the loop ends.
+    2.4) on copies of the sparse rows of ``m``.  A new pivot p is the +-1
+    in the lowest column of the first shortest row holding one, or else
+    the least entry of the shortest row: short rows limit fill-in.  A unit
+    pivot clears its column c in one exact pass, q = f * p on every row
+    holding f in c, and leaves with its row as a diagonal 1.  A non-unit
+    pivot reduces c by q = f // p on every other row, and the least
+    remainder left, on the shortest row, is the next pivot.  Once column c
+    is clear but for p, the column operations that reduce the pivot row
+    mod p change that row alone: it leaves as the diagonal entry |p|, or
+    its least entry left is the next pivot.  |p| falls until a row leaves,
+    so the loop ends.  Equal least entries go to the lowest column, so
+    every choice follows the order and contents of the rows, not the order
+    of their keys.
     The 1s are counted and skip the quadratic ``_chain``.
     """
     rows = [dict(r) for r in m.entries if r]
@@ -115,12 +118,11 @@ def smith_normal_form(m: IntMatrix) -> tuple:
                     piv, size = i, len(r)
             if piv is None:
                 top = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
-                c, p = min(top.items(), key=lambda e: abs(e[1]))
+                c, p = min(top.items(), key=lambda e: (abs(e[1]), e[0]))
             else:
                 top = rows.pop(piv)
-                for c, p in top.items():
-                    if p == 1 or p == -1:
-                        break
+                c = min(j for j, x in top.items() if x == 1 or x == -1)
+                p = top[c]
         if p == 1 or p == -1:
             emptied = False
             for r in rows:
@@ -165,7 +167,7 @@ def smith_normal_form(m: IntMatrix) -> tuple:
             rest = {j: x % p for j, x in top.items() if x % p}
             if rest:
                 top = {c: p, **rest}
-                c, p = min(rest.items(), key=lambda e: abs(e[1]))
+                c, p = min(rest.items(), key=lambda e: (abs(e[1]), e[0]))
             else:
                 diagonal.append(abs(p))
                 top = None
@@ -184,38 +186,93 @@ def group_from_factors(rank: int, factors) -> AbelianGroup:
     return AbelianGroup(rank, tuple(d for d in _chain(ds) if d > 1))
 
 
-def _unspanned(p: CyclicPresentation) -> CyclicPresentation:
-    """p less each family of count 1 < n whose abelianized word is
-    c(1, .., 1), when p has no fixed generators and some family of count n
-    has a nonzero entry sum s that divides c.  That family's n rows are the
-    rotations of its word u, which sum to s(1, .., 1), so the row left out
-    is c / s times their sum and the cokernel does not change."""
-    n = p.n
-    if p.fixed:
-        return p
-    kept = []
+# abelianization key -> H_1, for the report that verify_consistency is
+# building; None outside it, so h1 called on its own keeps nothing
+_groups = None
+
+
+def _families(p: CyclicPresentation) -> list:
+    """(row, count) for each shift family of p that h1 reduces: its word
+    abelianized to a dict from column i - 1 of x_i to the nonzero exponent
+    sum, with the columns in the order of their last letters.
+
+    A family of count 1 < n whose row is c(1, .., 1) is left out when p has
+    no fixed generators and some family of count n has a nonzero entry sum
+    s that divides c.  That family's n rows are the rotations of its row,
+    which sum to s(1, .., 1), so the row left out is c / s times their sum
+    and the cokernel does not change."""
+    n, table = p.n, []
     for w, count in p.families:
-        if count == 1 < n:
-            dense = [0] * n
-            for i, e in w.letters:
-                dense[i - 1] += e
-            c = dense[0]
-            if dense.count(c) == n and any(
-                    s and c % s == 0
-                    for s in (sum(e for _, e in u.letters) for u, m in p.families if m == n)):
-                continue
-        kept.append((w, count))
-    return p if len(kept) == len(p.families) else p._replace(families=tuple(kept))
+        row = {}
+        for i, e in w.letters:
+            x = row.pop(i - 1, 0) + e
+            if x:
+                row[i - 1] = x
+        table.append((row, count))
+    if p.fixed:
+        return table
+    sums = [s for s in (sum(row.values()) for row, count in table if count == n) if s]
+    return [(row, count) for row, count in table
+            if not (count == 1 < n and len(row) in (0, n)
+                    and set(row.values()) <= {row.get(0, 0)}
+                    and any(row.get(0, 0) % s == 0 for s in sums))]
+
+
+def _abelian_key(n: int, families: list):
+    """A key that cyclic presentations of degree n without fixed generators
+    share when their ``_families`` rows agree up to row sign and order: n
+    and one canonical row per family.  None when rotation by a family's
+    count maps its row v to neither v nor -v.
+
+    Otherwise the family's rows are the whole rotation orbit of v up to
+    sign, and every rotation of +-v is a rotation by i < count of v or of
+    -v.  Of those that put an occurrence of that vector's least entry
+    (nonzero unless v = 0) at column 0, the least stands for the orbit.  So
+    equal keys give the same cokernel."""
+    canon = []
+    for row, count in families:
+        dense = [0] * n
+        for c, e in row.items():
+            dense[c] = e
+        neg = [-x for x in dense]
+        if count < n:
+            turned = dense[n - count:] + dense[:n - count]
+            if turned != dense and turned != neg:
+                return None
+        least = min(min(dense), min(neg))
+        best = []
+        for vec in (dense, neg):
+            if least in vec:
+                # the rotation by i puts column n - i of vec + vec at column 0
+                vec = vec + vec
+                best += [vec[c:c + n] for c in range(n - count + 1, n + 1) if vec[c] == least]
+        canon.append(tuple(min(best)))
+    canon.sort()
+    return n, tuple(canon)
 
 
 def h1(p: Presentation | CyclicPresentation) -> AbelianGroup:
-    """Cokernel of the abelianized relator matrix, without the rows of a
-    CyclicPresentation that ``_unspanned`` finds spanned by its others."""
+    """Cokernel of the abelianized relator matrix; for a CyclicPresentation,
+    of the rows of ``_families`` and their shifts.  While verify_consistency
+    builds a report, cyclic presentations with one ``_abelian_key`` share
+    one Smith normal form."""
+    key = None
     if isinstance(p, CyclicPresentation):
-        p = _unspanned(p)
-    factors = smith_normal_form(IntMatrix(p.generator_count, p.relator_matrix()))
-    return AbelianGroup(p.generator_count - len(factors),
-                        tuple(d for d in factors if d > 1))
+        n, families = p.n, _families(p)
+        if _groups is not None and not p.fixed:
+            key = _abelian_key(n, families)
+            if key in _groups:
+                return _groups[key]
+        # the shift by d rotates columns 0..n-1 by d and fixes the others
+        rows = [{(j + d) % n if j < n else j: x for j, x in row.items()}
+                for row, count in families for d in range(count)]
+    else:
+        rows = p.relator_matrix()
+    factors = smith_normal_form(IntMatrix(p.generator_count, rows))
+    group = AbelianGroup(p.generator_count - len(factors), tuple(d for d in factors if d > 1))
+    if key is not None:
+        _groups[key] = group
+    return group
 
 
 def even_alpha_params(alpha: int, n: int, k: int) -> tuple:
@@ -401,73 +458,21 @@ def order_via_resultant(delta: LaurentPolynomial, n: int):
     return val if val else "infinite"
 
 
-def _abelian_key(p: CyclicPresentation):
-    """A key that presentations with the same abelianized rows, up to row
-    sign and order, share: n and one canonical row per family that
-    ``_unspanned`` keeps, as h1 does.  None when p has fixed generators, or
-    when rotation by a kept family's count maps its abelianized word v to
-    neither v nor -v.
-
-    Otherwise the family's rows are the whole rotation orbit of v up to
-    sign, and every rotation of +-v is a rotation by i < count of v or of
-    -v.  Of those that put an occurrence of that vector's least entry
-    (nonzero unless v = 0) at column 0, the least stands for the orbit.  So
-    equal keys give the same cokernel."""
-    if p.fixed:
-        return None
-    n, canon = p.n, []
-    for w, count in _unspanned(p).families:
-        dense = [0] * n
-        for i, e in w.letters:
-            dense[i - 1] += e
-        neg = [-x for x in dense]
-        if count < n:
-            turned = dense[n - count:] + dense[:n - count]
-            if turned != dense and turned != neg:
-                return None
-        least = min(min(dense), min(neg))
-        best = []
-        for vec in (dense, neg):
-            if least in vec:
-                # the rotation by i puts column n - i of vec + vec at column 0
-                vec = vec + vec
-                best += [vec[c:c + n] for c in range(n - count + 1, n + 1) if vec[c] == least]
-        canon.append(tuple(min(best)))
-    canon.sort()
-    return n, tuple(canon)
-
-
-# abelianization key -> H_1, for the report that verify_consistency is
-# building; None outside it, so a route called on its own keeps nothing
-_groups = None
-
-
-def _group(p: CyclicPresentation) -> AbelianGroup:
-    """h1(p), computed once per abelianization key of a report."""
-    key = None if _groups is None else _abelian_key(p)
-    if key is None:
-        return h1(p)
-    group = _groups.get(key)
-    if group is None:
-        group = _groups[key] = h1(p)
-    return group
-
-
 def _minkus(t, spec):
     # a link's Minkus presentation is its covering with exponents (1, 1)
     if t.is_knot or len(set(spec.exponents)) == 1:
-        return {"group": _group(minkus_presentation(t, spec.n)).to_json()}
+        return {"group": h1(minkus_presentation(t, spec.n)).to_json()}
 
 
 def _mu3(t, spec):
     k = spec.single
     if t.is_link and k is not None:
-        return {"group": _group(mu3_presentation(t, spec.n, k)).to_json()}
+        return {"group": h1(mu3_presentation(t, spec.n, k)).to_json()}
 
 
 def _takahashi(t, spec):
     if t.is_knot:
-        return {"group": _group(takahashi_word(even_cf_expand(t), spec.n)).to_json()}
+        return {"group": h1(takahashi_word(even_cf_expand(t), spec.n)).to_json()}
 
 
 def _polyhedral_presentation(t: TwoBridge, n: int, k: int) -> CyclicPresentation:
@@ -484,7 +489,7 @@ def _polyhedral_presentation(t: TwoBridge, n: int, k: int) -> CyclicPresentation
 def _polyhedral(t, spec):
     k = spec.single
     if k is not None:
-        return {"group": _group(_polyhedral_presentation(t, spec.n, k)).to_json()}
+        return {"group": h1(_polyhedral_presentation(t, spec.n, k)).to_json()}
 
 
 def _closed_form(t, spec):

@@ -157,22 +157,6 @@ class CyclicPresentation(checked_namedtuple("CyclicPresentation", "n families fi
     def expand(self) -> Presentation:
         return Presentation(self.generator_count, self.relators)
 
-    def relator_matrix(self) -> list:
-        """The rows of ``expand().relator_matrix()``, one abelianized word per
-        family: its shift by d is its row with columns 0..n-1 rotated by d
-        (the circulant of f_w(t)) and the fixed columns left in place."""
-        n, top, rows = self.n, self.n + self.fixed, []
-        for w, count in self.families:
-            row = {}
-            for i, e in w.letters:
-                col = i - 1 if n < i <= top else (i - 1) % n
-                x = row.pop(col, 0) + e
-                if x:
-                    row[col] = x
-            entries = row.items()
-            rows += [{(j + d) % n if j < n else j: c for j, c in entries} for d in range(count)]
-        return rows
-
 
 class LaurentPolynomial:
     """Integer Laurent polynomial as a sparse exponent -> coefficient map."""

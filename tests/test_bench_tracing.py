@@ -49,26 +49,29 @@ def test_routes_reach_traced_functions_through_globals():
         assert not any(route is fn for fn in traced), name
 
 
-# at k = 1 the link Minkus presentation, with its fixed generator, has no
-# abelianization key, so it and mu3 each reach h1
-@pytest.mark.parametrize("argv", [("homology", "10", "3", "5", "1"),
-                                  ("homology", "8", "3", "4", "1")])
-def test_one_smith_normal_form_call_per_h1(capsys, argv):
+# every presentation route calls h1, and h1 reduces one matrix per distinct
+# abelianization key of a report; at k = 1 the link Minkus presentation,
+# with its fixed generator, has no key, so it and mu3 are each reduced
+@pytest.mark.parametrize("argv, presented, reduced",
+                         [(("homology", "10", "3", "5", "1"), 3, 2),
+                          (("homology", "8", "3", "4", "1"), 3, 2),
+                          (("homology", "5", "3", "3"), 3, 1)])
+def test_one_smith_normal_form_call_per_abelianization(capsys, argv, presented, reduced):
     with load_spans().Tracer() as tracer:
         assert cli.main(list(argv)) == 0
     capsys.readouterr()
     _, calls = tracer.totals()
-    assert calls["homology.h1"] >= 2
-    assert calls["homology.smith_normal_form"] == calls["homology.h1"]
+    assert calls["homology.h1"] == presented
+    assert calls["homology.smith_normal_form"] == reduced
 
 
 def test_link_polyhedral_route_reuses_the_mu3_group(capsys):
-    # mu3 and the schema present the same abelianization: one h1 for both
+    # mu3 and the schema present the same abelianization: one SNF for both
     with load_spans().Tracer() as tracer:
         assert cli.main(["--format", "json", "homology", "8", "3", "4", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     _, calls = tracer.totals()
-    assert calls["homology.h1"] == calls["homology.smith_normal_form"] == 1
+    assert (calls["homology.h1"], calls["homology.smith_normal_form"]) == (2, 1)
     groups = {r["route"]: r["group"] for r in report["routes"]}
     assert groups["mu3"] == groups["polyhedral"]
 
@@ -81,7 +84,7 @@ def test_knot_routes_share_one_smith_normal_form(capsys):
         assert cli.main(["--format", "json", "homology", "7", "3", "320"]) == 0
     report = json.loads(capsys.readouterr().out)
     _, calls = tracer.totals()
-    assert calls["homology.h1"] == calls["homology.smith_normal_form"] == 1
+    assert (calls["homology.h1"], calls["homology.smith_normal_form"]) == (3, 1)
     assert report["agree"] is True
     assert {"minkus", "takahashi", "polyhedral"} <= {r["route"] for r in report["routes"]}
 

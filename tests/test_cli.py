@@ -365,25 +365,31 @@ def test_homology_unknown_route_exits_2(capsys):
 def test_homology_computes_only_kept_routes(capsys, monkeypatch):
     from bridgecovers import homology
 
-    real_h1 = homology.h1
-    presented = []
+    real_h1, real_snf = homology.h1, homology.smith_normal_form
+    presented, reduced = [], []
 
     def counting_h1(p):
         presented.append(p)
         return real_h1(p)
 
+    def counting_snf(m):
+        reduced.append(m)
+        return real_snf(m)
+
     monkeypatch.setattr(homology, "h1", counting_h1)
+    monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     argv = ("homology", "5", "3", "3", "--format", "json")
     code, rec = run_json(capsys, *argv)
-    # minkus, takahashi and polyhedral abelianize a presentation; they share
-    # one abelianization once the polyhedral row x_1 .. x_n, which the
-    # circulant spans, is left out, so only minkus reaches h1
-    assert code == 0 and len(presented) == 1
+    # minkus, takahashi and polyhedral each present the covering to h1; they
+    # share one abelianization once the polyhedral row x_1 .. x_n, which the
+    # circulant spans, is left out, so h1 reduces one matrix
+    assert code == 0 and (len(presented), len(reduced)) == (3, 1)
     presented.clear()
+    reduced.clear()
     code, rec = run_json(capsys, *argv, "--routes", "closed_form,resultant")
     assert code == 0 and rec["agree"] is True
     assert [r["route"] for r in rec["routes"]] == ["closed_form", "resultant"]
-    assert presented == []
+    assert presented == reduced == []
 
     def never(t, spec):
         raise AssertionError("a route that was not kept ran")

@@ -32,7 +32,15 @@ from bridgecovers.presentations import (
     takahashi_word,
 )
 from bridgecovers.two_bridge import even_cf_expand, mirror, normalize
-from bridgecovers.words import CyclicPresentation, FreeWord, LaurentPolynomial, word
+from bridgecovers.words import (
+    CyclicPresentation,
+    FreeWord,
+    LaurentPolynomial,
+    Presentation,
+    word,
+)
+
+from h1_rows import reduced_rows
 
 
 def laplace_det(sub):
@@ -145,7 +153,7 @@ def test_int_matrix_rejects_bad_rows():
 def test_relator_rows_stay_sparse():
     # a dense row would hold one key per generator
     pres = minkus_presentation(normalize(29, 12), 5120)
-    rows = pres.relator_matrix()
+    rows = reduced_rows(pres)
     assert len(rows) == len(pres.relators)
     assert all(len(row) <= len(r.letters) for row, r in zip(rows, pres.relators))
 
@@ -490,22 +498,30 @@ def test_verify_consistency_runs_named_routes():
         verify_consistency(t, spec, ["minkus", "bogus"])
 
 
-def test_abelian_key_needs_whole_rotation_orbits():
-    # the link Minkus presentation has the fixed generator y
-    assert homology._abelian_key(minkus_presentation(normalize(8, 3), 4)) is None
+def key(p):
+    """The abelianization key h1 gives p inside a report."""
+    return homology._abelian_key(p.n, homology._families(p))
+
+
+def test_abelian_key_needs_whole_rotation_orbits(monkeypatch):
+    # the link Minkus presentation has the fixed generator y: h1 gives it
+    # no key, and a report keeps nothing for it
+    monkeypatch.setattr(homology, "_groups", {})
+    h1(minkus_presentation(normalize(8, 3), 4))
+    assert homology._groups == {}
+    monkeypatch.undo()
     # rotating x_1 x_2 by its count 2 gives x_3 x_4, so its two rows are
     # not its orbit: H_1 is Z^2, where the whole orbit gives Z
     w = word((1, 1), (2, 1))
     half, whole = CyclicPresentation(4, ((w, 2),)), CyclicPresentation(4, ((w, 4),))
-    assert homology._abelian_key(half) is None
-    assert homology._abelian_key(whole) is not None
+    assert key(half) is None
+    assert key(whole) is not None
     assert (h1(half), h1(whole)) == (AbelianGroup(2, ()), AbelianGroup(1, ()))
     # rotating x_1 x_2^-1 x_3 x_4^-1 by 1 negates its row, so one row is
     # the whole orbit up to sign, as is the one row of its shift by 1
     w = word((1, 1), (2, -1), (3, 1), (4, -1))
-    key = homology._abelian_key(CyclicPresentation(4, ((w, 1),)))
-    assert key == (4, ((-1, 1, -1, 1),))
-    assert homology._abelian_key(CyclicPresentation(4, ((w.shift(1, 4), 2),))) == key
+    assert key(CyclicPresentation(4, ((w, 1),))) == (4, ((-1, 1, -1, 1),))
+    assert key(CyclicPresentation(4, ((w.shift(1, 4), 2),))) == (4, ((-1, 1, -1, 1),))
 
 
 @st.composite
@@ -540,8 +556,7 @@ def test_abelian_key_ignores_shifts_and_inverses(p, rnd):
         moved.append((w.inverse() if rnd.random() < 0.5 else w, count))
     rnd.shuffle(moved)
     q = CyclicPresentation(p.n, tuple(moved))
-    key = homology._abelian_key(p)
-    assert key is not None and homology._abelian_key(q) == key
+    assert key(p) is not None and key(q) == key(p)
     assert h1(q) == h1(p)
 
 
@@ -556,8 +571,8 @@ def test_knot_polyhedral_key_is_the_minkus_key():
                 continue
             t = normalize(alpha, beta)
             for n in range(2, 13):
-                assert (homology._abelian_key(homology._polyhedral_presentation(t, n, 1))
-                        == homology._abelian_key(minkus_presentation(t, n))), (t, n)
+                assert (key(homology._polyhedral_presentation(t, n, 1))
+                        == key(minkus_presentation(t, n))), (t, n)
                 count += 1
     assert count == 1496
 
@@ -595,8 +610,8 @@ def test_unspanned_rows_are_kept_when_the_sum_is_zero():
     p = mu3_presentation(normalize(8, 3), 4, 1)
     q = p.families[0]
     assert q == (word((1, 1), (4, 1), (3, 1), (2, 1)), 1)
-    assert homology._unspanned(p) is p
-    assert len(homology._abelian_key(p)[1]) == 2
+    assert len(homology._families(p)) == 2
+    assert len(key(p)[1]) == 2
     # leaving Q out would change H_1 from Z_2 + Z_2 + Z_16 to one with a Z
     assert h1(p) == group_from_factors(0, [2, 2, 16])
     assert h1(without(p, q)).rank == 1
@@ -607,22 +622,23 @@ def test_unspanned_rows_are_kept_unless_the_sum_divides_them():
     # span (1, 1, 1) over Z: with that row H_1 is 0, without it Z_2
     ones = (word((1, 1), (2, 1), (3, 1)), 1)
     p = CyclicPresentation(3, ((word((1, 1), (2, 1)), 3), ones))
-    assert homology._unspanned(p) is p
+    assert len(homology._families(p)) == 2
     assert (h1(p), h1(without(p, ones))) == (AbelianGroup(0, ()), AbelianGroup(0, (2,)))
     # twice that row is spanned, and left out
     twice = (word((1, 2), (2, 2), (3, 2)), 1)
     spanned = CyclicPresentation(3, ((word((1, 1), (2, 1)), 3), twice))
-    assert homology._unspanned(spanned) == without(spanned, twice)
+    assert homology._families(spanned) == homology._families(without(spanned, twice))
+    assert len(homology._families(spanned)) == 1
     assert h1(spanned) == AbelianGroup(0, (2,))
     # at n = 1 a family of count 1 is the family of count n: it spans itself
     # but is kept, as H_1 = Z_2 shows
     single = CyclicPresentation(1, ((word((1, 2)), 1),))
-    assert homology._unspanned(single) is single
+    assert len(homology._families(single)) == 1
     assert h1(single) == AbelianGroup(0, (2,))
     # the shift fixes y = x_3, so the rotations of x_1 y sum to (1, 1, 2):
     # they do not span 2(1, 1, 0), and the group is Z_4, not Z
     fixed = CyclicPresentation(2, ((word((1, 1), (3, 1)), 2), (word((1, 2), (2, 2)), 1)), 1)
-    assert homology._unspanned(fixed) is fixed
+    assert len(homology._families(fixed)) == 2
     assert h1(fixed) == AbelianGroup(0, (4,))
 
 
@@ -644,7 +660,7 @@ def test_spanned_constant_family_keeps_key_and_h1(p, letters, m, rnd):
     families = list(spanning.families)
     families.insert(rnd.randrange(len(families) + 1), (FreeWord(tuple(constant)), 1))
     q = CyclicPresentation(n, tuple(families))
-    assert homology._abelian_key(q) == homology._abelian_key(spanning) is not None
+    assert key(q) == key(spanning) is not None
     factors = smith_normal_form(IntMatrix(n, q.expand().relator_matrix()))
     assert h1(q) == h1(spanning) == AbelianGroup(n - len(factors),
                                                  tuple(d for d in factors if d > 1))
@@ -670,6 +686,44 @@ def test_groups_are_kept_only_while_a_report_is_built(monkeypatch):
     # minkus, takahashi and polyhedral share one key
     assert len(seen) == 1 and len(seen[0]) == 1
     assert homology._groups is None
+
+
+def test_a_report_abelianizes_each_presentation_once(monkeypatch):
+    # every h1 call of a report reads its presentation's family words into
+    # one table, and the key reads that table; nothing expands a
+    # presentation or abelianizes its relators one by one
+    presented, tables, keyed = [], [], []
+    real_h1, real_families, real_key = homology.h1, homology._families, homology._abelian_key
+
+    def counting_h1(p):
+        presented.append(p)
+        return real_h1(p)
+
+    def reading(p):
+        tables.append((p, real_families(p)))
+        return tables[-1][1]
+
+    def keying(n, families):
+        keyed.append(families)
+        return real_key(n, families)
+
+    def never(*args):
+        raise AssertionError("a presentation was abelianized again")
+
+    monkeypatch.setattr(homology, "h1", counting_h1)
+    monkeypatch.setattr(homology, "_families", reading)
+    monkeypatch.setattr(homology, "_abelian_key", keying)
+    monkeypatch.setattr(Presentation, "relator_matrix", never)
+    monkeypatch.setattr(CyclicPresentation, "expand", never)
+    # a knot, a link at k = 1 (its Minkus presentation has no key) and a
+    # link at k = 3: 3 + 3 + 2 presentations, 7 of them keyed
+    for t, spec in ((normalize(5, 3), CoveringSpec(3, (1,))),
+                    (normalize(10, 3), CoveringSpec(5, (1, 1))),
+                    (normalize(8, 3), CoveringSpec(4, (1, 3)))):
+        assert verify_consistency(t, spec)["agree"] is True
+    assert [p for p, _ in tables] == presented and len(presented) == 8
+    assert len(keyed) == 7
+    assert all(any(families is table for _, table in tables) for families in keyed)
 
 
 @st.composite

@@ -1,9 +1,10 @@
 """4-coloured graphs encoding closed orientable 3-manifolds.
 
 The Lins-Mandel family G(n, p, q, c) and its generalization carry four
-fixed-point-free involutions on the vertex set Z_n x Z_2p.  Checking that
-every 3-residue is a 2-sphere decides whether the graph is a gem, i.e.
-whether the associated pseudocomplex is a manifold.
+fixed-point-free involutions on Z_n x Z_2p: the n-fold lift of a graph on
+Z_2p whose edges carry shifts in Z_n, on which cycles and residues are
+counted.  Checking that every 3-residue is a 2-sphere decides whether the
+graph is a gem, i.e. whether the associated pseudocomplex is a manifold.
 """
 
 from functools import cached_property
@@ -32,75 +33,82 @@ SPHERE = Sphere()
 
 # the three essentially distinct cyclic orders of the four colours
 CYCLIC_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+_KEPT = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # kept when colour 0, 1, 2 or 3 is missing
 
 
-class ColouredGraph(checked_namedtuple("ColouredGraph", "involutions")):
-    """Connected 4-regular graph given by four fixed-point-free involutions.
-
-    Vertices are 0..V-1; involutions[c][v] is the endpoint of the c-coloured
-    edge at v.  Parallel edges of different colours are allowed.
-    """
+class ColouredGraph(checked_namedtuple("ColouredGraph", "base n shifts")):
+    """Connected 4-regular graph: the n-fold lift of a base graph on 0..B-1
+    given by four fixed-point-free involutions, base[c][v] the endpoint of
+    the c-coloured edge at v, whose edges carry antisymmetric shifts in Z_n.
+    The lift joins i*B + v to ((i + shifts[c][v]) mod n)*B + base[c][v]; with
+    n = 1 and no shifts it is the base.  Parallel edges are allowed."""
 
     # no __slots__: the cached properties below live in the instance dict
 
-    def __new__(cls, involutions: tuple):
-        if len(involutions) != 4:
+    def __new__(cls, base: tuple, n: int = 1, shifts: tuple = None):
+        if len(base) != 4:
             raise ValueError("need exactly four involutions")
-        v_count = len(involutions[0])
+        v_count = len(base[0])
         if v_count == 0 or v_count % 2:
             raise ValueError("vertex count must be positive and even")
-        for c, inv in enumerate(involutions):
-            if len(inv) != v_count:
+        if n < 1:
+            raise ValueError("degree must be positive")
+        shifts = tuple(tuple([s % n for s in shift])
+                       for shift in (((0,) * v_count,) * 4 if shifts is None else shifts))
+        for c, (inv, shift) in enumerate(zip(base, shifts, strict=True)):
+            if len(inv) != v_count or len(shift) != v_count:
                 raise ValueError("involution %d acts on a different vertex set" % c)
             for v, w in enumerate(inv):
-                if w == v:
-                    raise ValueError("colour %d fixes vertex %d" % (c, v))
-                if not 0 <= w < v_count or inv[w] != v:
-                    raise ValueError("colour %d is not an involution at vertex %d" % (c, v))
-        graph = tuple.__new__(cls, (involutions,))
-        if _cycle_classes(graph, (0, 1), (2, 3)) != 1:
+                # a shift that w does not undo breaks the lifted involution at v
+                if w == v or not 0 <= w < v_count or inv[w] != v or (shift[v] + shift[w]) % n:
+                    raise ValueError(("colour %d fixes vertex %d" if w == v else
+                                      "colour %d is not an involution at vertex %d") % (c, v))
+        graph = tuple.__new__(cls, (tuple(map(tuple, base)), n, shifts))
+        if _components(graph, (0, 1), (2, 3)) != 1:
             raise ValueError("graph is not connected")
         return graph
 
     @property
     def vertex_count(self) -> int:
-        return len(self.involutions[0])
+        return self.n * len(self.base[0])
+
+    @cached_property
+    def involutions(self) -> tuple:
+        """The lift's four involutions, built on first use (graph_isomorphic)."""
+        n, size = self.n, len(self.base[0])
+        return tuple(tuple(((i + s) % n) * size + w for i in range(n) for s, w in zip(shift, inv))
+                     for inv, shift in zip(self.base, self.shifts))
 
     @cached_property
     def _cycles(self) -> dict:
-        """Colour pair (a < b) -> (cycle label of each vertex, cycle count).
-
-        Computed once, by the connectivity check at construction, and kept
-        for the life of this (immutable) graph; every bicoloured-cycle,
-        residue and component count reads this one table.
-        """
+        """Colour pair (a < b) -> (the number and vertex count of the lifts of
+        each base cycle, their total, and per vertex v its base cycle and the
+        offset at which the walk from the cycle's first vertex reaches v).  A
+        base cycle of L vertices whose shifts sum to s lifts to gcd(n, s)
+        cycles of L*n / gcd(n, s) vertices.  Built with the graph and kept."""
+        n, size = self.n, len(self.base[0])
         table = {}
         for a, b in combinations(range(4), 2):
-            ia, ib = self.involutions[a], self.involutions[b]
-            label = [-1] * self.vertex_count
-            count = 0
-            for start in range(self.vertex_count):
+            ia, ib, sa, sb = self.base[a], self.base[b], self.shifts[a], self.shifts[b]
+            label, offset, cycles = [-1] * size, [0] * size, []
+            for start in range(size):
                 if label[start] >= 0:
                     continue
                 # walk the cycle through start, alternating colours a and b
-                v = start
+                v, k, at, length = start, len(cycles), 0, 0
                 while label[v] < 0:
-                    label[v] = count
                     w = ia[v]
-                    label[w] = count
-                    v = ib[w]
-                count += 1
-            table[(a, b)] = (label, count)
+                    label[v] = label[w] = k
+                    offset[v], offset[w] = at, at + sa[v]
+                    at, length, v = at + sa[v] + sb[w], length + 2, ib[w]
+                copies = gcd(n, at)
+                cycles.append((copies, length * n // copies))
+            table[(a, b)] = (tuple(cycles), sum(c for c, _ in cycles), label, offset)
         return table
 
     @cached_property
     def _residues(self) -> dict:
-        """Missing colour -> number of 3-residues on the other three colours.
-
-        Empty at first; _residue_count fills one entry per missing colour on
-        first use, so each union-find runs at most once per graph and a
-        non-gem is counted only up to its first failing colour.
-        """
+        """Missing colour -> number of 3-residues, filled by _residue_count."""
         return {}
 
 
@@ -127,19 +135,16 @@ def eta(j: int, p: int) -> int:
 
 
 def _build(params: LMParams) -> ColouredGraph:
-    n, p, q, c, cp = params.n, params.p, params.q, params.c, params.cprime
-    width = 2 * p
-    sign = [eta(j, p) for j in range(width)]
-    # each colour moves vertex (i, j) to (i + shift_j, column_j)
-    moves = (
-        [(c * sign[(j - q) % width], (1 - j + 2 * q) % width) for j in range(width)],
-        [(cp * sign[j], (1 - j) % width) for j in range(width)],
-        [(0, (j + (-1) ** j) % width) for j in range(width)],
-        [(0, (j - (-1) ** j) % width) for j in range(width)],
-    )
-    return ColouredGraph(tuple(
-        tuple(((i + shift) % n) * width + col for i in range(n) for shift, col in move)
-        for move in moves))
+    """The base on the columns Z_2p; colour c moves (i, j) to (i + shifts[c][j], base[c][j])."""
+    p, q, width = params.p, params.q, 2 * params.p
+    cols, sign = range(width), [-1] + [1] * p + [-1] * (p - 1)  # eta on the columns
+    # j + (-1)^j is j ^ 1, and j - (-1)^j is j - 1 + 2 (j mod 2)
+    base = (tuple([(1 - j + 2 * q) % width for j in cols]), tuple([(1 - j) % width for j in cols]),
+            tuple([j ^ 1 for j in cols]), tuple([(j - 1 + 2 * (j % 2)) % width for j in cols]))
+    # colour 0 reads eta at j - q
+    shifts = ([params.c * s for s in sign[width - q:] + sign[:width - q]],
+              [params.cprime * s for s in sign], (0,) * width, (0,) * width)
+    return ColouredGraph(base, params.n, shifts)
 
 
 def build_lins_mandel(params: LMParams) -> ColouredGraph:
@@ -152,76 +157,75 @@ def build_generalized(params: LMParams) -> ColouredGraph:
     return _build(params)
 
 
-def _classes(size: int, pairs) -> list:
-    """Representative of each of 0..size-1 once every pair is identified."""
-    parent = list(range(size))
-    for x, y in pairs:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        parent[x] = y
-    for v in range(size):
-        # point every id straight at its root
-        while parent[parent[v]] != parent[v]:
-            parent[v] = parent[parent[v]]
-    return parent
+def _components(g: ColouredGraph, pair: tuple, colours) -> int:
+    """Number of components of the lift on the colours of pair and colours.
 
-
-def _cycle_classes(g: ColouredGraph, first: tuple, second: tuple) -> int:
-    """Number of classes of the cycles of two colour pairs, joined wherever
-    they share a vertex: the components of the graph on those colours when
-    every edge lies in a cycle of one pair or the other."""
-    one, m = g._cycles[first]
-    two, k = g._cycles[second]
-    return len(set(_classes(m + k, zip(one, (m + y for y in two)))))
+    A union-find over the base cycles of pair carries offsets: (i, v) lies on
+    the lift of cycle label[v] at i - offset[v], and cycle k at j in the class
+    of parent[k] at j + lift[k].  A class whose loops shift by multiples of g
+    lifts to gcd(n, g) components."""
+    cycles, _, label, offset = g._cycles[pair]
+    orbit, m = [copies for copies, _ in cycles], len(cycles)
+    parent, lift, weight = list(range(m)), [0] * m, [1] * m
+    for c in colours:
+        inv, shift = g.base[c], g.shifts[c]
+        for x, y in enumerate(inv):
+            if y < x:
+                continue
+            # (i, x) ~ (i + shift[x], y), read at the two roots
+            u, a, v, b = label[x], -offset[x], label[y], shift[x] - offset[y]
+            while parent[u] != u:
+                a += lift[u]
+                u = parent[u]
+            while parent[v] != v:
+                b += lift[v]
+                v = parent[v]
+            if u == v:
+                orbit[u] = gcd(orbit[u], b - a)
+                continue
+            if weight[u] > weight[v]:
+                u, a, v, b = v, b, u, a
+            parent[u], lift[u] = v, b - a
+            weight[v] += weight[u]
+            orbit[v] = gcd(orbit[v], orbit[u])
+    return sum(orbit[k] for k in range(m) if parent[k] == k)
 
 
 def _residue_count(g: ColouredGraph, missing: int) -> int:
-    """Number of components of the graph on the three colours other than
-    missing.  With kept colours a < b < c, every edge of such a component
-    lies in an ab-cycle or a bc-cycle."""
+    """Number of components of the lift on the colours other than missing:
+    the pair opposite it, and missing ^ 1.  A non-gem stops at its first
+    failing colour, so each count is taken on first use."""
     counts = g._residues
     if missing not in counts:
-        a, b, c = (x for x in range(4) if x != missing)
-        counts[missing] = _cycle_classes(g, (a, b), (b, c))
+        counts[missing] = _components(g, (2, 3) if missing < 2 else (0, 1), (missing ^ 1,))
     return counts[missing]
 
 
 def is_gem(g: ColouredGraph) -> bool:
     """True iff every 3-residue is a 2-sphere.
 
-    For a component R of the graph on three colours, the represented surface
-    has Euler characteristic (#bicoloured cycles inside R) - |R|/2, at most 2
-    and equal to 2 exactly for the sphere.  So every residue is a sphere iff,
-    summed over the residues of one missing colour, the cycles less V/2 come
-    to twice the number of residues.  This is the oracle the closed-form
-    criterion is validated against.
-    """
+    A component R of the graph on three colours represents a surface of
+    Euler characteristic (#bicoloured cycles inside R) - |R|/2, at most 2
+    and 2 exactly for the sphere.  So all are spheres iff, per missing
+    colour, the cycles less V/2 come to twice the number of residues."""
     return _is_gem(g)
 
 
 def _is_gem(g: ColouredGraph) -> bool:
     # is_crystallization calls this, not is_gem, so that a wrapped is_gem
     # counts only its callers' own gem tests
-    for missing in range(4):
-        kept = tuple(c for c in range(4) if c != missing)
-        cycles = sum(g._cycles[pair][1] for pair in combinations(kept, 2))
-        if cycles - g.vertex_count // 2 != 2 * _residue_count(g, missing):
+    table, half = g._cycles, g.vertex_count // 2
+    for missing, (a, b, c) in enumerate(_KEPT):
+        cycles = table[(a, b)][1] + table[(a, c)][1] + table[(b, c)][1]
+        if cycles - half != 2 * _residue_count(g, missing):
             return False
     return True
 
 
 def gem_closed_form(params: LMParams) -> bool:
     """Arithmetic gem criterion: p even, a vanishing shift, or c = (-1)^q c'."""
-    n, cp = params.n, params.cprime
-    if params.p % 2 == 0:
-        return True
-    if params.c == 0 or cp == 0:
-        return True
-    return (params.c - (-1) ** params.q * cp) % n == 0
+    c, cp = params.c, params.cprime
+    return params.p % 2 == 0 or c == 0 or cp == 0 or (c - (-1) ** params.q * cp) % params.n == 0
 
 
 def is_crystallization(g: ColouredGraph) -> bool:
@@ -232,12 +236,9 @@ def is_crystallization(g: ColouredGraph) -> bool:
 
 
 def represented_covering(params: LMParams):
-    """The 2-bridge link and covering spec a gem's manifold realizes.
-
-    Returns SPHERE for the degenerate ranges (p = 1 or a vanishing shift);
-    otherwise (b(p, q), spec) where the exponents are c' (links only) and -c
-    taken mod n.
-    """
+    """The 2-bridge link and covering spec a gem's manifold realizes: SPHERE
+    for the degenerate ranges (p = 1 or a vanishing shift), otherwise
+    (b(p, q), spec) with the exponents c' (links only) and -c mod n."""
     if not gem_closed_form(params):
         raise ValueError("parameters fail the gem criterion")
     n, cp = params.n, params.cprime
@@ -324,8 +325,7 @@ def heegaard_genus(g: ColouredGraph, pairing) -> int:
     if sorted(pairing) != [0, 1, 2, 3]:
         raise ValueError("pairing must be a cyclic order of all four colours")
     chi = -g.vertex_count
-    for i in range(4):
-        a, b = pairing[i], pairing[(i + 1) % 4]
+    for a, b in zip(pairing, (*pairing[1:], pairing[0])):
         chi += g._cycles[(min(a, b), max(a, b))][1]
     if chi % 2:
         raise ValueError("odd Euler characteristic %d" % chi)

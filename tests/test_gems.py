@@ -1,6 +1,6 @@
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import gcd
 
@@ -14,7 +14,8 @@ from bridgecovers.gems import (
     LMParams,
     OutOfRange,
     SPHERE,
-    _classes,
+    _build,
+    _components,
     _residue_count,
     build_generalized,
     build_lins_mandel,
@@ -139,10 +140,12 @@ def test_rejections(involutions, message):
 
 
 def _cycle_sizes(g, pair):
-    """Sorted vertex counts of the bicoloured cycles of a colour pair a < b."""
-    label, count = g._cycles[pair]
-    assert sorted(set(label)) == list(range(count))
-    return sorted(Counter(label).values())
+    """Sorted vertex counts of the bicoloured cycles of a colour pair a < b,
+    as the lifts of the base cycles in the quotient table."""
+    cycles, count = g._cycles[pair][:2]
+    sizes = sorted(size for copies, size in cycles for _ in range(copies))
+    assert len(sizes) == count
+    return sizes
 
 
 def test_cycle_table_sizes():
@@ -337,9 +340,9 @@ def test_bipartite():
     assert is_bipartite(TWO_VERTEX)
 
 
-def _residues(g, colours):
-    """Vertex sets of the components of g on the given colours, by search."""
-    left = set(range(g.vertex_count))
+def _residues(involutions, colours):
+    """Vertex sets of the components on the given colours, by search."""
+    left = set(range(len(involutions[0])))
     out = []
     while left:
         stack = [left.pop()]
@@ -347,7 +350,7 @@ def _residues(g, colours):
         while stack:
             v = stack.pop()
             for c in colours:
-                w = g.involutions[c][v]
+                w = involutions[c][v]
                 if w not in comp:
                     comp.add(w)
                     left.discard(w)
@@ -360,8 +363,8 @@ def _reference_is_gem(g):
     # every 3-residue on its own: (#bicoloured cycles in it) - |R|/2 == 2
     for missing in range(4):
         kept = [c for c in range(4) if c != missing]
-        for comp in _residues(g, kept):
-            cycles = sum(sum(1 for cyc in _residues(g, pair) if cyc <= comp)
+        for comp in _residues(g.involutions, kept):
+            cycles = sum(sum(1 for cyc in _residues(g.involutions, pair) if cyc <= comp)
                          for pair in combinations(kept, 2))
             if cycles - len(comp) // 2 != 2:
                 return False
@@ -447,22 +450,140 @@ def test_cycle_table_against_search():
     for v_count in (2, 4, 6, 8, 10, 12) * 40:
         g = _random_graph(rng, v_count)
         for pair in combinations(range(4), 2):
-            cycles = _residues(g, pair)
+            cycles = _residues(g.involutions, pair)
             assert _cycle_sizes(g, pair) == sorted(map(len, cycles))
             assert g._cycles[pair][1] == len(cycles)
         for missing in range(4):
             kept = [c for c in range(4) if c != missing]
-            assert _residue_count(g, missing) == len(_residues(g, kept))
+            assert _residue_count(g, missing) == len(_residues(g.involutions, kept))
         assert is_gem(g) == _reference_is_gem(g)
         if is_gem(g):
             gems += 1
-            crystal = all(len(_residues(g, [c for c in range(4) if c != m])) == 1
+            crystal = all(len(_residues(g.involutions, [c for c in range(4) if c != m])) == 1
                           for m in range(4))
             assert is_crystallization(g) == crystal
         else:
             with pytest.raises(ValueError, match=r"^graph has a non-spherical 3-residue$"):
                 is_crystallization(g)
     assert 0 < gems < 240
+
+
+# the parameters of _build without LMParams's checks, so that gcd(n, c, c') > 1
+RawParams = namedtuple("RawParams", "n p q c cprime")
+
+
+def _component_sizes(involutions, colours):
+    return sorted(map(len, _residues(involutions, colours)))
+
+
+def test_quotient_tables_against_lifted_search():
+    # every parameter set with n <= 8 and p <= 6, gcd(n, c, c') > 1 included:
+    # the quotient's cycle and residue tables and its connectivity verdict
+    # against search on the lifted involutions of the per-vertex reference
+    graphs = disconnected = non_gems = 0
+    for n in range(1, 9):
+        for p in range(1, 7):
+            for q in range(2 * p):
+                if gcd(p, q) != 1:
+                    continue
+                for c in range(n):
+                    for cp in range(n):
+                        raw = RawParams(n, p, q, c, cp)
+                        lifted = reference_build(raw)
+                        if len(_component_sizes(lifted, range(4))) > 1:
+                            with pytest.raises(ValueError, match=r"^graph is not connected$"):
+                                _build(raw)
+                            disconnected += 1
+                            continue
+                        g = _build(raw)
+                        if gcd(n, gcd(c, cp)) == 1:
+                            assert g == build_generalized(LMParams(*raw))
+                        assert g.involutions == lifted
+                        for pair in combinations(range(4), 2):
+                            assert _cycle_sizes(g, pair) == _component_sizes(lifted, pair), raw
+                        for missing in range(4):
+                            kept = [x for x in range(4) if x != missing]
+                            assert (_residue_count(g, missing)
+                                    == len(_component_sizes(lifted, kept))), raw
+                        non_gems += not is_gem(g)
+                        graphs += 1
+    assert (graphs, disconnected) == (4032, 864)
+    assert 0 < non_gems < graphs
+
+
+def _gauge_shifts(rng, base, n):
+    """Shifts f(w) - f(v) on the edges v -> w, for a random f on the base,
+    except on one colour, whose shifts are random: the closed walks of the
+    other three colours then shift by 0, so their lift has n copies of each
+    base component, and an offset the quotient gets wrong shows."""
+    f = [rng.randrange(n) for _ in base[0]]
+    free = rng.randrange(4)
+    shifts = []
+    for c, inv in enumerate(base):
+        shift = [(f[w] - f[v]) % n for v, w in enumerate(inv)]
+        for v, w in enumerate(inv):
+            if c == free and v < w:
+                shift[v] = rng.randrange(n)
+                shift[w] = -shift[v] % n
+        shifts.append(tuple(shift))
+    return tuple(shifts)
+
+
+def _lift(base, n, shifts):
+    """The involutions of the n-fold lift, vertex by vertex."""
+    size = len(base[0])
+    return tuple(tuple(((v // size + shift[v % size]) % n) * size + inv[v % size]
+                       for v in range(n * size))
+                 for inv, shift in zip(base, shifts))
+
+
+def test_random_voltage_graphs_against_lifted_search():
+    # random bases have several cycles per colour pair, so the union-find
+    # joins cycles at offsets, which the Lins-Mandel bases (one cycle on
+    # each of the pairs 01 and 23) never do
+    rng = random.Random(11)
+    verdicts = Counter()
+    for _ in range(600):
+        n, size = rng.randrange(1, 9), 2 * rng.randrange(1, 9)
+        base = _random_involutions(rng, size)
+        shifts = _gauge_shifts(rng, base, n)
+        lifted = _lift(base, n, shifts)
+        try:
+            g = ColouredGraph(base, n, shifts)
+        except ValueError as err:
+            assert str(err) == "graph is not connected"
+            assert len(_component_sizes(lifted, range(4))) > 1
+            verdicts["disconnected"] += 1
+            continue
+        assert len(_component_sizes(lifted, range(4))) == 1
+        assert g.involutions == lifted
+        for pair in combinations(range(4), 2):
+            assert _cycle_sizes(g, pair) == _component_sizes(lifted, pair)
+        for missing in range(4):
+            kept = [x for x in range(4) if x != missing]
+            assert _residue_count(g, missing) == len(_component_sizes(lifted, kept))
+        verdicts[is_gem(g)] += 1
+    assert min(verdicts[True], verdicts[False], verdicts["disconnected"]) > 0
+
+
+@pytest.mark.parametrize("n", [97, 360, 1000, 100000])
+def test_gem_criterion_at_large_degree(n):
+    # the quotient has 2p vertices at every n, so the criterion is checked
+    # far above the degrees that search on the lift can reach
+    for p in range(1, 13):
+        for q in range(2 * p):
+            if gcd(p, q) != 1:
+                continue
+            for c in sorted({0, 1, 2, 3, 5, 12, n // 2, n - 1}):
+                for cp in (1, 2, n - 1):
+                    if gcd(n, gcd(c, cp)) != 1:
+                        continue
+                    params = LMParams(n, p, q, c, cp)
+                    g = build_generalized(params)
+                    assert g.vertex_count == 2 * n * p
+                    assert is_gem(g) == gem_closed_form(params), params
+                    if cp == 1 and is_gem(g):
+                        assert is_crystallization(g) == (gcd(n, c) == 1), params
 
 
 def logging_calls(log, real):
@@ -479,7 +600,7 @@ def test_cycle_table_is_built_once_per_graph(monkeypatch):
         table = ColouredGraph.__dict__[name]
         monkeypatch.setattr(table, "func", logging_calls(log, table.func))
     union_finds = []
-    monkeypatch.setattr("bridgecovers.gems._classes", logging_calls(union_finds, _classes))
+    monkeypatch.setattr("bridgecovers.gems._components", logging_calls(union_finds, _components))
     g = build_lins_mandel(LMParams(5, 8, 3, 3))
     assert is_gem(g) and is_crystallization(g) and is_gem(g)
     for order in CYCLIC_ORDERS:

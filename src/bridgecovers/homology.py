@@ -95,17 +95,16 @@ def smith_normal_form(m: IntMatrix) -> tuple:
     One sparse elimination with Euclidean pivot steps (Cohen, GTM 138,
     2.4) on copies of the sparse rows of ``m``.  A new pivot p is the +-1
     in the lowest column of the first shortest row holding one, or else
-    the least entry of the shortest row: short rows limit fill-in.  A unit
-    pivot clears its column c in one exact pass, q = f * p on every row
-    holding f in c, and leaves with its row as a diagonal 1.  A non-unit
-    pivot reduces c by q = f // p on every other row, and the least
-    remainder left, on the shortest row, is the next pivot.  Once column c
-    is clear but for p, the column operations that reduce the pivot row
-    mod p change that row alone: it leaves as the diagonal entry |p|, or
-    its least entry left is the next pivot.  |p| falls until a row leaves,
-    so the loop ends.  Equal least entries go to the lowest column, so
-    every choice follows the order and contents of the rows, not the order
-    of their keys.
+    the least entry of the shortest row: short rows limit fill-in.  Every
+    pivot reduces its column c by q = f // p on each other row holding f
+    in c.  A unit pivot leaves no remainder, so its row leaves at once as
+    a diagonal 1; otherwise the least remainder left, on the shortest row,
+    is the next pivot.  Once column c is clear but for p, the column
+    operations that reduce the pivot row mod p change that row alone: it
+    leaves as the diagonal entry |p|, or its least entry left is the next
+    pivot.  |p| falls until a row leaves, so the loop ends.  Equal least
+    entries go to the lowest column, so every choice follows the order and
+    contents of the rows, not the order of their keys.
     The 1s are counted and skip the quadratic ``_chain``.
     """
     rows = [dict(r) for r in m.entries if r]
@@ -123,24 +122,6 @@ def smith_normal_form(m: IntMatrix) -> tuple:
                 top = rows.pop(piv)
                 c = min(j for j, x in top.items() if x == 1 or x == -1)
                 p = top[c]
-        if p == 1 or p == -1:
-            emptied = False
-            for r in rows:
-                f = r.get(c)
-                if f:
-                    q = f * p
-                    for j, x in top.items():
-                        y = r.get(j, 0) - q * x
-                        if y:
-                            r[j] = y
-                        else:
-                            del r[j]
-                    emptied = emptied or not r
-            if emptied:
-                rows = [r for r in rows if r]
-            ones += 1
-            top = None
-            continue
         nxt, emptied = None, False
         for r in rows:
             f = r.get(c)
@@ -159,7 +140,10 @@ def smith_normal_form(m: IntMatrix) -> tuple:
                     nxt, low = r, (abs(f), len(r))
         if emptied:
             rows = [r for r in rows if r]
-        if nxt:
+        if p == 1 or p == -1:
+            ones += 1
+            top = None
+        elif nxt:
             i = rows.index(nxt)  # a row equal to nxt serves as well
             rows[i], top = top, rows[i]
             p = top[c]
@@ -192,23 +176,16 @@ _groups = None
 
 
 def _families(p: CyclicPresentation) -> list:
-    """(row, count) for each shift family of p that h1 reduces: its word
-    abelianized to a dict from column i - 1 of x_i to the nonzero exponent
-    sum, with the columns in the order of their last letters.
+    """(row, count) for each shift family of p that h1 reduces, the row
+    being its word's exponent sums, ``FreeWord.abelianized``.
 
     A family of count 1 < n whose row is c(1, .., 1) is left out when p has
     no fixed generators and some family of count n has a nonzero entry sum
     s that divides c.  That family's n rows are the rotations of its row,
     which sum to s(1, .., 1), so the row left out is c / s times their sum
     and the cokernel does not change."""
-    n, table = p.n, []
-    for w, count in p.families:
-        row = {}
-        for i, e in w.letters:
-            x = row.pop(i - 1, 0) + e
-            if x:
-                row[i - 1] = x
-        table.append((row, count))
+    n = p.n
+    table = [(w.abelianized(), count) for w, count in p.families]
     if p.fixed:
         return table
     sums = [s for s in (sum(row.values()) for row, count in table if count == n) if s]

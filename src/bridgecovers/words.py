@@ -66,6 +66,16 @@ class FreeWord(checked_namedtuple("FreeWord", "letters")):
             return _reduced(letters)
         return FreeWord(letters)
 
+    def abelianized(self) -> dict:
+        """Exponent sums: a dict from column i - 1 of x_i to each nonzero
+        sum, with the columns in the order of their last letters."""
+        row = {}
+        for i, e in self.letters:
+            x = row.pop(i - 1, 0) + e
+            if x:
+                row[i - 1] = x
+        return row
+
 
 def _reduced(letters) -> FreeWord:
     """The FreeWord of letters that are already freely reduced, unmerged."""
@@ -109,15 +119,7 @@ class Presentation(checked_namedtuple("Presentation", "generator_count relators"
 
     def relator_matrix(self) -> list:
         """Abelianized relators: dicts from generator index (from 0) to nonzero exponent sum."""
-        rows = []
-        for r in self.relators:
-            row = {}
-            for i, e in r.letters:
-                x = row.pop(i - 1, 0) + e
-                if x:
-                    row[i - 1] = x
-            rows.append(row)
-        return rows
+        return [r.abelianized() for r in self.relators]
 
 
 class CyclicPresentation(checked_namedtuple("CyclicPresentation", "n families fixed")):

@@ -111,6 +111,11 @@ def test_exponent_sums():
     pres = Presentation(4, (word((1, 2), (2, -1), (4, 1), (1, 1)),
                             word((3, 1), (2, 1), (3, -1), (2, -1)), FreeWord()))
     assert pres.relator_matrix() == [{0: 3, 1: -1, 3: 1}, {}, {}]
+    # the same sums off a word alone: letters that cancel, and the empty word
+    assert word((2, 1), (5, 3), (2, -1), (5, -3)).abelianized() == {}
+    assert FreeWord().abelianized() == {}
+    # columns come in the order of their last letters
+    assert list(word((1, 1), (2, 1), (1, 1)).abelianized().items()) == [(1, 1), (0, 2)]
 
 
 def test_format_word():

@@ -7,7 +7,6 @@ structure labels and Heegaard genus bounds.
 
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .two_bridge import TwoBridge, equivalent, normalize
@@ -156,7 +155,8 @@ def geometry(t: TwoBridge, spec: CoveringSpec) -> GeometryType:
     if signs:
         if spec.exponents[-1] not in {s * spec.exponents[0] % n for s in signs}:
             return GeometryType.undetermined
-        x = Fraction(1, n) + Fraction(1, t.alpha) - Fraction(1, 2)
+        # 1/n + 1/alpha - 1/2 times 2 n alpha > 0, in integers
+        x = 2 * (n + t.alpha) - n * t.alpha
         if x > 0:
             return GeometryType.spherical
         if x == 0:

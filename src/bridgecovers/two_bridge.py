@@ -5,7 +5,6 @@ residue class of beta mod 2*alpha (coprime to alpha).  alpha odd gives a
 knot, alpha even a 2-component link.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .values import checked_namedtuple
@@ -47,7 +46,10 @@ class ContinuedFraction(checked_namedtuple("ContinuedFraction", "entries")):
             raise ValueError("entries must be a nonempty sequence of nonzero integers")
         return tuple.__new__(cls, (entries,))
 
-    def value(self) -> Fraction:
+    def value(self) -> "Fraction":
+        # fractions (and the decimal it imports) load only where a value is taken
+        from fractions import Fraction
+
         # convergents h/k by h_j = c_j h_{j-1} + h_{j-2}, in integers
         h, h_prev, k, k_prev = 1, 0, 0, 1
         for c in self.entries:
@@ -81,7 +83,7 @@ class EvenConwayForm(checked_namedtuple("EvenConwayForm", "q s")):
                 out.append(2 * self.s[j])
         return tuple(out)
 
-    def value(self) -> Fraction:
+    def value(self) -> "Fraction":
         return ContinuedFraction(self.entries()).value()
 
 
@@ -158,7 +160,7 @@ def even_cf_expand(t: TwoBridge) -> EvenConwayForm:
     q = tuple(-entries[i] // 2 for i in range(0, len(entries), 2))
     s = tuple(entries[i] // 2 for i in range(1, len(entries), 2))
     form = EvenConwayForm(q, s)
-    if form.value() != Fraction(t.alpha, bp):
+    if form.value() * bp != t.alpha:
         raise ValueError("re-evaluation failed for %s" % (t,))
     return form
 

@@ -24,6 +24,11 @@ class FreeWord(checked_namedtuple("FreeWord", "letters")):
     def __add__(self, other):
         return NotImplemented
 
+    def __radd__(self, other):
+        # tried before tuple.__add__, which would concatenate a subclass
+        raise TypeError("unsupported operand type(s) for +: %r and 'FreeWord'"
+                        % type(other).__name__)
+
     def __rmul__(self, other):
         return NotImplemented
 

@@ -152,9 +152,9 @@ def test_verify_sweep(capsys):
 
 
 def test_verify_counts_unverified(capsys, monkeypatch):
-    from bridgecovers import cli
+    from bridgecovers import homology
 
-    real = cli.verify_consistency
+    real = homology.verify_consistency
 
     def knots_unverified(t, spec):
         report = real(t, spec)
@@ -163,7 +163,7 @@ def test_verify_counts_unverified(capsys, monkeypatch):
             report["agree"] = None
         return report
 
-    monkeypatch.setattr(cli, "verify_consistency", knots_unverified)
+    monkeypatch.setattr(homology, "verify_consistency", knots_unverified)
     code, rec = run_json(capsys, "verify", "--sweep", "6", "4", "--format", "json")
     assert code == 0 and rec["ok"] is True and rec["mismatches"] == []
     assert 0 < rec["unverified"] < rec["checked"]
@@ -249,16 +249,16 @@ def test_verify_pair_mismatch_reproducers(capsys, monkeypatch):
 
 
 def test_verify_sweeps_links_past_alpha(capsys, monkeypatch):
-    from bridgecovers import cli
+    from bridgecovers import homology
 
     seen = set()
-    real = cli.verify_consistency
+    real = homology.verify_consistency
 
     def recording(t, spec):
         seen.add((t.alpha, t.beta))
         return real(t, spec)
 
-    monkeypatch.setattr(cli, "verify_consistency", recording)
+    monkeypatch.setattr(homology, "verify_consistency", recording)
     code, rec = run_json(capsys, "verify", "--sweep", "6", "3", "--format", "json")
     assert code == 0 and rec["ok"] is True
     # links run over every beta < 2 alpha coprime to alpha, knots over beta < alpha
@@ -460,13 +460,13 @@ def test_present_bad_degree_exits_2(capsys):
 
 
 def test_present_checks_arguments_before_building(capsys, monkeypatch):
-    from bridgecovers import cli
+    from bridgecovers import presentations
 
     def never(*args):
         raise AssertionError("a presentation was built for rejected arguments")
 
-    monkeypatch.setattr(cli, "minkus_presentation", never)
-    monkeypatch.setattr(cli, "takahashi_word", never)
+    monkeypatch.setattr(presentations, "minkus_presentation", never)
+    monkeypatch.setattr(presentations, "takahashi_word", never)
     for argv, message in (
             (("present", "5", "3", "200000", "2"), "exponents do not generate Z_200000"),
             (("present", "5", "3", "200000", "2", "--method", "takahashi"),

@@ -2,6 +2,7 @@
 the ``Name(field=value, ...)`` form, and cheap to import."""
 
 import inspect
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bridgecovers
 from bridgecovers import two_bridge
 from bridgecovers.covering import CoveringClass, CoveringSpec, GenusBounds
 from bridgecovers.gems import ColouredGraph, LMParams
@@ -159,3 +161,73 @@ def test_cli_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+LAZY = ("decomposition", "homology", "polyhedral", "presentations", "words")
+
+# one JSON line per CLI call: the layers that have run by then (a layer not yet
+# run is a LazyLoader module, and reading any attribute of it runs it, so only
+# its type is read), and whether fractions has been imported
+LAYERS_RUN = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, %r)
+from bridgecovers import cli
+for argv in (["gem", "5", "4", "3", "1"], ["classify", "7", "3", "5", "1"],
+             ["classify", "5", "1", "3", "1"], ["info", "7", "3"],
+             ["homology", "7", "3", "5"], ["decompose", "8", "3", "10", "15"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--format", "json", *argv]) == 0
+    run = [name for name in %r
+           if type(sys.modules["bridgecovers." + name]) is types.ModuleType]
+    print(json.dumps([argv[0], run, "fractions" in sys.modules]))
+"""
+
+
+def test_cli_verbs_run_only_the_layers_they_use():
+    code = LAYERS_RUN % (str(SRC), LAZY)
+    done = subprocess.run([sys.executable, "-S", "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert lines == [
+        ["gem", [], False],
+        ["classify", [], False],
+        # b(5,1) is a torus knot, so geometry takes the sign of 2(n + alpha) - n alpha
+        ["classify", [], False],
+        # info evaluates the even continued fraction
+        ["info", [], True],
+        ["homology", ["homology", "polyhedral", "presentations", "words"], True],
+        ["decompose", list(LAZY), True]]
+
+
+# every name the package exported while it imported each layer eagerly
+EXPORTS = (
+    "AbelianGroup", "CYCLIC_ORDERS", "ColouredGraph", "CoveringClass", "CoveringSpec",
+    "CyclicPresentation", "FreeWord", "GenusBounds", "GeometryType", "IntMatrix", "LMParams",
+    "LaurentPolynomial", "MinkusSchema", "Presentation", "SPHERE", "TwoBridge",
+    "alexander_polynomial", "build_generalized", "build_lins_mandel", "build_minkus",
+    "cf_expand", "classify", "covering", "covering_equivalent", "decompose", "decomposition",
+    "equivalent", "even_cf_expand", "format_word", "gem_closed_form", "gems", "genus_bounds",
+    "geometry", "graph_isomorphic", "h1", "h1_closed_form", "heegaard_genus", "homology",
+    "hyperbolic_homeomorphic", "is_crystallization", "is_gem", "is_genus_one",
+    "lens_recognize", "linking_number", "lm_isomorphic_closed_form", "minkus_cyclic",
+    "minkus_presentation", "mirror", "mu3_presentation", "normalize", "order_via_resultant",
+    "polyhedral", "presentations", "quotient_counts", "represented_covering",
+    "schema_presentation", "smith_normal_form", "takahashi_word", "two_bridge", "values",
+    "verify_consistency", "words")
+
+
+def test_package_exports_every_name():
+    star = {}
+    exec("from bridgecovers import *", star)
+    assert sorted(n for n in star if not n.startswith("_")) == sorted(EXPORTS)
+    assert set(EXPORTS) <= set(dir(bridgecovers))
+    for name in EXPORTS:
+        value = getattr(bridgecovers, name)
+        assert star[name] is value
+        # a function or class is its defining layer's own object
+        home = getattr(value, "__module__", None)
+        if home is not None and home.startswith("bridgecovers."):
+            assert getattr(sys.modules[home], name) is value
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bridgecovers.no_such_name

@@ -53,7 +53,7 @@ def test_word_length_counts_syllables():
 def test_words_multiply_and_never_add_or_repeat():
     w = word((1, 2), (2, -1))
     for make in (lambda: w + w, lambda: 2 * w, lambda: w * 2, lambda: w + (1,),
-                 lambda: sum([w, w], FreeWord())):
+                 lambda: (1,) + w, lambda: sum([w, w], FreeWord())):
         with pytest.raises(TypeError):
             make()
     assert w * w == w ** 2 == word((1, 2), (2, -1), (1, 2), (2, -1))

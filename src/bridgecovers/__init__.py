@@ -5,25 +5,27 @@ coverings by branching exponents, coloured-graph and face-paired-ball models,
 three families of fundamental group presentations, first homology by several
 independent routes, and the factorization of singly-cyclic coverings.
 
-The presentation, polyhedral, homology, word and decomposition layers load on
-first use: each sits in ``sys.modules`` as an unexecuted module from the
-start, and runs when one of its attributes is first read.  So the gem, info
-and classify verbs never compile them.
+Six layers load on first use: gems, presentations, polyhedral, homology,
+words and decomposition.  Each sits in ``sys.modules`` as an unexecuted module
+from the start, and runs when one of its attributes is first read.  So the
+info and classify verbs compile none of them, the gem verb compiles gems alone,
+and the homology, present, polyhedral, decompose and verify verbs never
+compile gems.
 """
 
 from .covering import (CoveringClass, CoveringSpec, GenusBounds, GeometryType,
                        classify, covering_equivalent, genus_bounds, geometry,
                        hyperbolic_homeomorphic, lens_recognize)
-from .gems import (CYCLIC_ORDERS, ColouredGraph, LMParams, SPHERE,
-                   build_generalized, build_lins_mandel, gem_closed_form,
-                   graph_isomorphic, heegaard_genus, is_crystallization, is_gem,
-                   lm_isomorphic_closed_form, represented_covering)
 from .two_bridge import (TwoBridge, cf_expand, equivalent, even_cf_expand,
                          is_genus_one, linking_number, mirror, normalize)
 
 # the names each lazy layer exports from the package
 _LAZY = {
     "decomposition": ("decompose",),
+    "gems": ("CYCLIC_ORDERS", "ColouredGraph", "LMParams", "SPHERE", "build_generalized",
+             "build_lins_mandel", "gem_closed_form", "graph_isomorphic", "heegaard_genus",
+             "is_crystallization", "is_gem", "lm_isomorphic_closed_form",
+             "represented_covering"),
     "homology": ("AbelianGroup", "IntMatrix", "h1", "h1_closed_form",
                  "order_via_resultant", "smith_normal_form", "verify_consistency"),
     "polyhedral": ("MinkusSchema", "build_minkus", "quotient_counts",

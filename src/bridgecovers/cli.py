@@ -16,12 +16,9 @@ from math import gcd
 
 # the lazy layers are bound as modules and read at use, so that a verb
 # which does not call one leaves it unexecuted
-from . import decomposition, homology, polyhedral, presentations, words
+from . import decomposition, gems, homology, polyhedral, presentations, words
 from .covering import (CoveringSpec, classify, covering_equivalent, genus_bounds, geometry,
                        hyperbolic_homeomorphic, lens_recognize, torus_signs)
-from .gems import (CYCLIC_ORDERS, LMParams, SPHERE, build_generalized,
-                   gem_closed_form, heegaard_genus, is_crystallization, is_gem,
-                   represented_covering)
 from .two_bridge import (cf_expand, even_cf_expand, is_genus_one, linking_number,
                          normalize, reorient_component)
 
@@ -132,25 +129,25 @@ def render_homology(d):
 def cmd_gem(args):
     # c' is shown only when given; the default c' = 1 is the plain family
     given = () if args.cprime is None else (args.cprime,)
-    params = LMParams(args.n, args.p, args.q, args.c, *given)
-    graph = build_generalized(params)
+    params = gems.LMParams(args.n, args.p, args.q, args.c, *given)
+    graph = gems.build_generalized(params)
     shown = (params.n, params.p, params.q, params.c, params.cprime)[:4 + len(given)]
     data = {"graph": "G(%s)" % ", ".join(map(str, shown)), "vertices": graph.vertex_count,
-            "gem": is_gem(graph), "closed_form": gem_closed_form(params)}
+            "gem": gems.is_gem(graph), "closed_form": gems.gem_closed_form(params)}
     if not data["gem"]:
         data.update(crystallization=None, covering=None, genus=None)
         return 0, data
-    data["crystallization"] = is_crystallization(graph)
-    covered = represented_covering(params)
-    if covered is SPHERE:
+    data["crystallization"] = gems.is_crystallization(graph)
+    covered = gems.represented_covering(params)
+    if covered is gems.SPHERE:
         data["covering"] = "sphere"
     else:
         t, spec = covered
         data["covering"] = {"link": str(t), "alpha": t.alpha, "beta": t.beta,
                             "degree": spec.n, "exponents": list(spec.exponents)}
     # every G(n, p, q, c, c') is bipartite, so each genus is an integer
-    genus = {"".join(map(str, order)): heegaard_genus(graph, order)
-             for order in CYCLIC_ORDERS}
+    genus = {"".join(map(str, order)): gems.heegaard_genus(graph, order)
+             for order in gems.CYCLIC_ORDERS}
     data["genus"] = {"by_order": genus, "min": min(genus.values())}
     return 0, data
 

@@ -129,11 +129,6 @@ class LMParams(checked_namedtuple("LMParams", "n p q c cprime")):
         return tuple.__new__(cls, (n, p, q % (2 * p), c % n, cprime % n))
 
 
-def eta(j: int, p: int) -> int:
-    """+1 on residues 1..p mod 2p, -1 on the rest (so eta(0) = -1)."""
-    return 1 if 1 <= j % (2 * p) <= p else -1
-
-
 def _build(params: LMParams) -> ColouredGraph:
     """The base on the columns Z_2p; colour c moves (i, j) to (i + shifts[c][j], base[c][j])."""
     p, q, width = params.p, params.q, 2 * params.p

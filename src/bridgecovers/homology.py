@@ -89,6 +89,16 @@ def _chain(xs) -> list:
     return xs
 
 
+def _least(row: dict) -> tuple:
+    """(column, entry) of the least |entry| in a sparse row, ties to the lowest column."""
+    c = None
+    for j, x in row.items():
+        a = -x if x < 0 else x
+        if c is None or a < low or (a == low and j < c):
+            c, p, low = j, x, a
+    return c, p
+
+
 def smith_normal_form(m: IntMatrix) -> tuple:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
@@ -117,10 +127,13 @@ def smith_normal_form(m: IntMatrix) -> tuple:
                     piv, size = i, len(r)
             if piv is None:
                 top = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
-                c, p = min(top.items(), key=lambda e: (abs(e[1]), e[0]))
+                c, p = _least(top)
             else:
                 top = rows.pop(piv)
-                c = min(j for j, x in top.items() if x == 1 or x == -1)
+                c = None
+                for j, x in top.items():
+                    if (x == 1 or x == -1) and (c is None or j < c):
+                        c = j
                 p = top[c]
         nxt, emptied = None, False
         for r in rows:
@@ -151,7 +164,7 @@ def smith_normal_form(m: IntMatrix) -> tuple:
             rest = {j: x % p for j, x in top.items() if x % p}
             if rest:
                 top = {c: p, **rest}
-                c, p = min(rest.items(), key=lambda e: (abs(e[1]), e[0]))
+                c, p = _least(rest)
             else:
                 diagonal.append(abs(p))
                 top = None

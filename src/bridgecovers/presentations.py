@@ -7,7 +7,6 @@ All three run over generators x_1..x_n with index arithmetic mod n
 
 from math import gcd
 
-from .gems import eta
 from .two_bridge import TwoBridge, EvenConwayForm
 from .words import CyclicPresentation, FreeWord, LaurentPolynomial, word
 
@@ -58,6 +57,11 @@ def minkus_presentation(t: TwoBridge, n: int) -> CyclicPresentation:
 
 
 # ---- coloured-graph presentation ----
+
+def eta(j: int, p: int) -> int:
+    """+1 on residues 1..p mod 2p, -1 on the rest (so eta(0) = -1)."""
+    return 1 if 1 <= j % (2 * p) <= p else -1
+
 
 def _mu3_shifts(alpha: int, beta: int, k: int):
     """Exponents e_j and shifts s_j, the two sums carrying different k-weights.

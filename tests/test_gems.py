@@ -19,7 +19,6 @@ from bridgecovers.gems import (
     _residue_count,
     build_generalized,
     build_lins_mandel,
-    eta,
     gem_closed_form,
     graph_isomorphic,
     heegaard_genus,
@@ -28,6 +27,7 @@ from bridgecovers.gems import (
     lm_isomorphic_closed_form,
     represented_covering,
 )
+from bridgecovers.presentations import eta
 from bridgecovers.two_bridge import normalize
 from depth_first import depth_first_isomorphic
 

@@ -3,12 +3,12 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bridgecovers.gems import eta
 from bridgecovers.homology import AbelianGroup, _polyhedral_presentation, h1
 from bridgecovers.presentations import (
     _minkus_letters,
     _mu3_shifts,
     alexander_polynomial,
+    eta,
     minkus_cyclic,
     minkus_presentation,
     mu3_presentation,

@@ -163,7 +163,7 @@ def test_cli_import_loads_no_dataclasses():
     assert done.stdout.split() == ["False"]
 
 
-LAZY = ("decomposition", "homology", "polyhedral", "presentations", "words")
+LAZY = ("decomposition", "gems", "homology", "polyhedral", "presentations", "words")
 
 # one JSON line per CLI call: the layers that have run by then (a layer not yet
 # run is a LazyLoader module, and reading any attribute of it runs it, so only
@@ -172,9 +172,7 @@ LAYERS_RUN = """
 import contextlib, io, json, sys, types
 sys.path.insert(0, %r)
 from bridgecovers import cli
-for argv in (["gem", "5", "4", "3", "1"], ["classify", "7", "3", "5", "1"],
-             ["classify", "5", "1", "3", "1"], ["info", "7", "3"],
-             ["homology", "7", "3", "5"], ["decompose", "8", "3", "10", "15"]):
+for argv in %r:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["--format", "json", *argv]) == 0
     run = [name for name in %r
@@ -183,21 +181,54 @@ for argv in (["gem", "5", "4", "3", "1"], ["classify", "7", "3", "5", "1"],
 """
 
 
-def test_cli_verbs_run_only_the_layers_they_use():
-    code = LAYERS_RUN % (str(SRC), LAZY)
+def layers_run(*calls):
+    """Run the CLI calls in one fresh interpreter; one line per call, as above."""
+    code = LAYERS_RUN % (str(SRC), [call.split() for call in calls], LAZY)
     done = subprocess.run([sys.executable, "-S", "-W", "error", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    lines = [json.loads(line) for line in done.stdout.splitlines()]
-    assert lines == [
-        ["gem", [], False],
-        ["classify", [], False],
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_cli_verbs_run_only_the_layers_they_use():
+    assert layers_run("gem 5 4 3 1", "classify 7 3 5 1", "classify 5 1 3 1", "info 7 3",
+                      "homology 7 3 5", "decompose 8 3 10 15") == [
+        ["gem", ["gems"], False],
+        ["classify", ["gems"], False],
         # b(5,1) is a torus knot, so geometry takes the sign of 2(n + alpha) - n alpha
-        ["classify", [], False],
+        ["classify", ["gems"], False],
         # info evaluates the even continued fraction
-        ["info", [], True],
-        ["homology", ["homology", "polyhedral", "presentations", "words"], True],
+        ["info", ["gems"], True],
+        ["homology", ["gems", "homology", "polyhedral", "presentations", "words"], True],
         ["decompose", list(LAZY), True]]
+
+
+def test_only_the_gem_verb_runs_the_gem_layer():
+    # b(16,5) at k = 1 is a link, so its mu3 route reads eta
+    lines = layers_run("homology 16 5 10 1", "present 8 3 4 1 --method mu3",
+                       "polyhedral 5 1 7 3", "decompose 8 3 10 15", "verify --sweep 6 4",
+                       "info 7 3", "classify 7 3 5 1", "gem 5 4 3 1")
+    assert [verb for verb, run, _ in lines if "gems" in run] == ["gem"]
+    assert lines[-1][1] == list(LAZY)
+
+
+# one pass over the bench's sweep pool: the gem layer is still unexecuted
+# after it, so no sweep item pays for compiling gems
+SWEEP_PASS = """
+import sys, types
+sys.path[:0] = [%r, %r]
+import workloads
+codes = {workloads.call(item)[0] for item in workloads.sweep_pool()}
+print(sorted(codes), type(sys.modules["bridgecovers.gems"]) is types.ModuleType)
+"""
+
+
+def test_sweep_pass_leaves_the_gem_layer_unexecuted():
+    code = SWEEP_PASS % (str(SRC), str(SRC.parent / "bench"))
+    done = subprocess.run([sys.executable, "-S", "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0]", "False"]
 
 
 # every name the package exported while it imported each layer eagerly
